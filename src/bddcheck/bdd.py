@@ -318,42 +318,41 @@ class Manager:
             node = self._high[node] if bit else self._low[node]
         return node
 
+    def _nodes(self, stack: list[int]) -> set[int]:
+        """Internal nodes reachable from the handles on ``stack``, which
+        the walk consumes."""
+        high = self._high
+        low = self._low
+        seen = set()
+        add = seen.add
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            u = pop()
+            if u > 1 and u not in seen:
+                add(u)
+                push(high[u])
+                push(low[u])
+        return seen
+
     def reachable(self, roots: int | Iterable[int]) -> list[int]:
         """Internal nodes reachable from the roots, ascending by handle."""
-        if isinstance(roots, int):
-            roots = (roots,)
-        seen = set()
-        stack = []
-        for r in roots:
+        stack = [roots] if isinstance(roots, int) else list(roots)
+        for r in stack:
             self._check_ref(r)
-            stack.append(r)
-        while stack:
-            u = stack.pop()
-            if u > 1 and u not in seen:
-                seen.add(u)
-                stack.append(self._high[u])
-                stack.append(self._low[u])
-        return sorted(seen)
+        return sorted(self._nodes(stack))
 
     def size(self, f: int) -> int:
         """Number of internal nodes reachable from ``f`` (terminals excluded)."""
         self._check_ref(f)
-        seen = set()
-        stack = [f]
-        high = self._high
-        low = self._low
-        while stack:
-            u = stack.pop()
-            if u > 1 and u not in seen:
-                seen.add(u)
-                stack.append(high[u])
-                stack.append(low[u])
-        return len(seen)
+        return len(self._nodes([f]))
 
     def support(self, f: int) -> set[int]:
         """Variable indices tested by nodes reachable from ``f``."""
         self._check_ref(f)
-        return {self._var_at[self._level[u]] for u in self.reachable(f)}
+        var_at = self._var_at
+        level = self._level
+        return {var_at[level[u]] for u in self._nodes([f])}
 
     def dump(self, roots: int | Iterable[int]) -> str:
         """Reachable internal nodes as ``id var high low`` text lines.

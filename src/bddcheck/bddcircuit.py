@@ -5,7 +5,7 @@ whose else-input is the low child's signal and whose then-input is the
 high child's signal; terminals become constant signals.  Shared nodes
 become shared signals, so the generated circuit is a DAG with fanout,
 not a tree.  In ``gates`` mode every MUX is further expanded into the
-standard inverter/AND/AND/OR realization.
+standard inverter/AND/AND/OR realization by ``circuit.expand_mux``.
 
 ``roundtrip_verify`` symbolically simulates the generated circuit under
 the original variable order and checks, node for node, that the
@@ -15,11 +15,11 @@ properties of the internal MUX signals in ``gates`` mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .bdd import DEFAULT_NODE_LIMIT, Manager
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, expand_mux, fresh_name
 from .errors import BddCheckError
 from .simulate import SimStats, simulate
 
@@ -34,8 +34,6 @@ class NodeSignalMap:
     var_signals: dict[int, str]          # variable index -> input name
     const0: str | None = None
     const1: str | None = None
-    # gates mode only: node -> (inverted-select, and-else, and-then) signals
-    inner: dict[int, tuple[str, str, str]] = field(default_factory=dict)
 
     def signal_for(self, ref: int) -> str:
         if ref == 0:
@@ -47,14 +45,6 @@ class NodeSignalMap:
                 raise KeyError("constant-1 signal was not emitted")
             return self.const1
         return self.signals[ref]
-
-
-def _unique(base: str, taken: set[str]) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    taken.add(name)
-    return name
 
 
 def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
@@ -102,8 +92,8 @@ def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
         if mgr.low(u) <= 1:
             need1 = need1 or mgr.low(u) == 1
             need0 = need0 or mgr.low(u) == 0
-    const0 = _unique("const0", taken) if need0 else None
-    const1 = _unique("const1", taken) if need1 else None
+    const0 = fresh_name("const0", taken) if need0 else None
+    const1 = fresh_name("const1", taken) if need1 else None
     constants = []
     if const0 is not None:
         constants.append((const0, 0))
@@ -113,28 +103,16 @@ def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
     nmap = NodeSignalMap({}, {i: n for i, n in names.items() if n is not None},
                          const0, const1)
     for u in nodes:
-        nmap.signals[u] = _unique(f"n{u}", taken)
+        nmap.signals[u] = fresh_name(f"n{u}", taken)
 
-    gates = []
-    for u in nodes:                      # ascending handles: children first
-        sel = names[mgr.var_index(u)]
-        else_sig = nmap.signal_for(mgr.low(u))
-        then_sig = nmap.signal_for(mgr.high(u))
-        out = nmap.signals[u]
-        if mode == "mux":
-            gates.append(Gate("mux", out, (sel, else_sig, then_sig)))
-        else:
-            ns = _unique(f"{out}__ns", taken)
-            a0 = _unique(f"{out}__a0", taken)
-            a1 = _unique(f"{out}__a1", taken)
-            nmap.inner[u] = (ns, a0, a1)
-            gates.append(Gate("inv", ns, (sel,)))
-            gates.append(Gate("and", a0, (ns, else_sig)))
-            gates.append(Gate("and", a1, (sel, then_sig)))
-            gates.append(Gate("or", out, (a0, a1)))
-
+    gates = tuple(Gate("mux", nmap.signals[u],
+                       (names[mgr.var_index(u)], nmap.signal_for(mgr.low(u)),
+                        nmap.signal_for(mgr.high(u))))
+                  for u in nodes)        # ascending handles: children first
     outputs = tuple(nmap.signal_for(r) for r in roots)
-    circuit = Circuit(inputs, outputs, tuple(gates), tuple(constants))
+    circuit = Circuit(inputs, outputs, gates, tuple(constants))
+    if mode == "gates":
+        circuit = expand_mux(circuit)
     return circuit, nmap
 
 
@@ -165,20 +143,14 @@ class RoundtripReport:
     created_total: int
     violations: list[RoundtripViolation] = field(default_factory=list)
     stats: SimStats | None = None
+    circuit: Circuit | None = None       # the expanded circuit that was checked
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "mode": self.mode,
-            "original_size": self.original_size,
-            "max_internal_size": self.max_internal_size,
-            "created_total": self.created_total,
-            "violations": [
-                {"node": v.node, "signal": v.signal,
-                 "check": v.check, "detail": v.detail}
-                for v in self.violations
-            ],
-        }
+        """The report's scalar fields and violations; not stats or circuit."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("stats", "circuit")}
+        doc["violations"] = [asdict(v) for v in self.violations]
+        return doc
 
 
 def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
@@ -199,35 +171,35 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
              if v in nmap.var_signals]
     res = simulate(circuit, order, node_limit=node_limit)
     sim = res.manager
+    sizes = res.stats.per_signal_size
+    producers = circuit.producers()
 
-    nodes = mgr.reachable(roots)
     iso = {0: 0, 1: 1}
     violations = []
     max_size = 0
-    for u in nodes:
+    for u, sig in nmap.signals.items():      # ascending handles
         sel_var = input_index[nmap.var_signals[mgr.var_index(u)]]
         iso[u] = sim.make(sel_var, iso[mgr.high(u)], iso[mgr.low(u)])
-        sig = nmap.signals[u]
         got = res.signal_bdds[sig]
-        sz = sim.size(got)
+        sz = sizes[sig]
         max_size = max(max_size, sz)
         if got != iso[u]:
             violations.append(RoundtripViolation(
                 u, sig, "node_identity",
                 f"signal rebuilds to {got}, expected canonical {iso[u]}"))
         if mode == "gates":
-            ns_sig, a0_sig, a1_sig = nmap.inner[u]
+            # the node's OR gate reads (and(ns, else), and(sel, then))
+            a0_sig, a1_sig = producers[sig].inputs
+            ns_sig = producers[a0_sig].inputs[0]
             for check, name, child in (("and_else", a0_sig, mgr.low(u)),
                                        ("and_then", a1_sig, mgr.high(u))):
-                b = res.signal_bdds[name]
-                bsz = sim.size(b)
+                bsz = sizes[name]
                 max_size = max(max_size, bsz)
                 limit = sim.size(iso[child]) + 1
                 if bsz > limit:
                     violations.append(RoundtripViolation(
                         u, name, check, f"size {bsz} exceeds child+1 = {limit}"))
-            ns = res.signal_bdds[ns_sig]
-            nsz = sim.size(ns)
+            nsz = sizes[ns_sig]
             max_size = max(max_size, nsz)
             if nsz != 1:
                 violations.append(RoundtripViolation(
@@ -239,5 +211,6 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
                         u, nmap.signal_for(child), check,
                         f"data input depends on select variable {sel_var}"))
     return RoundtripReport(not violations, mode,
-                           len(nodes), max_size,
-                           res.stats.created_total, violations, res.stats)
+                           len(nmap.signals), max_size,
+                           res.stats.created_total, violations, res.stats,
+                           circuit)

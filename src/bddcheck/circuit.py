@@ -59,7 +59,7 @@ class Circuit:
         self.outputs = tuple(self.outputs)
         self.gates = tuple(self.gates)
         self.constants = tuple((n, b) for n, b in self.constants)
-        _validate(self)
+        self._order = _validate(self)
 
     @property
     def signals(self) -> tuple[str, ...]:
@@ -89,7 +89,7 @@ def _check_arity(gate: Gate):
             f"gate '{gate.output}': {gate.kind} takes at least 2 inputs, got {n}")
 
 
-def _validate(c: Circuit):
+def _validate(c: Circuit) -> tuple[Gate, ...]:
     defined = set()
     for name in c.signals:
         if not name:
@@ -111,15 +111,21 @@ def _validate(c: Circuit):
     for name in c.outputs:
         if name not in defined:
             raise CircuitError(f"undefined output signal '{name}'")
-    topological_order(c)  # raises on cycles
+    return _sort(c)  # raises on cycles
 
 
 def topological_order(c: Circuit) -> list[Gate]:
     """Gates ordered so producers precede consumers.
 
-    Deterministic: among ready gates, declaration order wins.  Raises
-    :class:`CircuitError` naming a signal on the cycle if there is one.
+    Deterministic: among ready gates, declaration order wins.  The order
+    is computed once, when the circuit is validated.
     """
+    return list(c._order)
+
+
+def _sort(c: Circuit) -> tuple[Gate, ...]:
+    """Kahn's algorithm with declaration order breaking ties.  Raises
+    :class:`CircuitError` naming a signal on the cycle if there is one."""
     avail = set(c.inputs) | {n for n, _ in c.constants}
     waiting = []                     # per gate: unavailable input references
     consumers = {}                   # signal -> gate indices waiting on it
@@ -146,7 +152,7 @@ def topological_order(c: Circuit) -> list[Gate]:
     if len(order) < len(c.gates):
         signal = _find_cycle_signal(c, done)
         raise CircuitError(f"cycle through signal '{signal}'", signal=signal)
-    return order
+    return tuple(order)
 
 
 def _find_cycle_signal(c: Circuit, done) -> str:
@@ -235,7 +241,8 @@ def dfs_variable_order(c: Circuit) -> list[int]:
     return order
 
 
-def _fresh_name(base: str, taken: set[str]) -> str:
+def fresh_name(base: str, taken: set[str]) -> str:
+    """``base`` with ``_`` appended until it is not in ``taken``; claims it."""
     name = base
     while name in taken:
         name += "_"
@@ -261,7 +268,7 @@ def decompose_multi_input(c: Circuit) -> Circuit:
         last = {"nand": "nand", "nor": "nor"}.get(g.kind, inner)
         acc = g.inputs[0]
         for k, s in enumerate(g.inputs[1:-1]):
-            out = _fresh_name(f"{g.output}__d{k}", taken)
+            out = fresh_name(f"{g.output}__d{k}", taken)
             gates.append(Gate(inner, out, (acc, s)))
             acc = out
         gates.append(Gate(last, g.output, (acc, g.inputs[-1])))
@@ -282,9 +289,9 @@ def expand_mux(c: Circuit) -> Circuit:
             gates.append(Gate(g.kind, g.output, g.inputs))
             continue
         sel, else_in, then_in = g.inputs
-        ns = _fresh_name(f"{g.output}__ns", taken)
-        a0 = _fresh_name(f"{g.output}__a0", taken)
-        a1 = _fresh_name(f"{g.output}__a1", taken)
+        ns = fresh_name(f"{g.output}__ns", taken)
+        a0 = fresh_name(f"{g.output}__a0", taken)
+        a1 = fresh_name(f"{g.output}__a1", taken)
         gates.append(Gate("inv", ns, (sel,)))
         gates.append(Gate("and", a0, (ns, else_in)))
         gates.append(Gate("and", a1, (sel, then_in)))

@@ -16,13 +16,14 @@ version, the seed and a hash of the effective configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 
 from . import __version__
 from .bdd import DEFAULT_NODE_LIMIT
-from .bddcircuit import expand_to_circuit, roundtrip_verify
+from .bddcircuit import roundtrip_verify
 from .circuit import dfs_variable_order
 from .equivalence import EQUIVALENT, NOT_EQUIVALENT, check_equivalence
 from .errors import BddCheckError, ParseError
@@ -87,38 +88,26 @@ def _resolve_order(source: str, circuit) -> list[int]:
     raise BddCheckError(f"unknown order source '{source}'")
 
 
-def _load_or_exit(path: str):
+def _load(path: str):
     try:
         return load(path)
     except ParseError as exc:
-        sys.stderr.write(f"{path}: {exc}\n")
-        raise SystemExit(EXIT_USAGE) from None
-    except OSError as exc:
-        sys.stderr.write(f"{path}: {exc}\n")
-        raise SystemExit(EXIT_USAGE) from None
+        raise BddCheckError(f"{path}: {exc}") from None
+
+
+VERIFY_STATS = ("created_total", "peak_live", "ite_entries_total",
+                "order_used", "completed", "failing_signal")
 
 
 def _cmd_verify(args) -> int:
-    left = _load_or_exit(args.left)
-    right = _load_or_exit(args.right)
-    try:
-        order = _resolve_order(args.order, left)
-        outcome = check_equivalence(left, right, order,
-                                    node_limit=args.capacity)
-    except BddCheckError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    left = _load(args.left)
+    right = _load(args.right)
+    order = _resolve_order(args.order, left)
+    outcome = check_equivalence(left, right, order, node_limit=args.capacity)
     report = {
         "verdict": outcome.verdict,
         "counterexample": outcome.counterexample,
-        "stats": {
-            "created_total": outcome.stats.created_total,
-            "peak_live": outcome.stats.peak_live,
-            "ite_entries_total": outcome.stats.ite_entries_total,
-            "order_used": list(outcome.stats.order_used),
-            "completed": outcome.stats.completed,
-            "failing_signal": outcome.stats.failing_signal,
-        },
+        "stats": {k: getattr(outcome.stats, k) for k in VERIFY_STATS},
         "provenance": _provenance(args),
     }
     if args.format == "text":
@@ -138,13 +127,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    circuit = _load_or_exit(args.circuit)
+    circuit = _load(args.circuit)
     code = EXIT_OK
-    try:
-        order = _resolve_order(args.order, circuit)
-    except BddCheckError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    order = _resolve_order(args.order, circuit)
     try:
         res = simulate(circuit, order, node_limit=args.capacity)
         stats = res.stats
@@ -174,16 +159,7 @@ def _cmd_simulate(args) -> int:
         doc = stats_to_json(stats)
         doc["provenance"] = _provenance(args)
         if poly_report is not None:
-            doc["poly_bound"] = {
-                "passed": poly_report.passed,
-                "bound": poly_report.bound,
-                "n": poly_report.n,
-                "checked": poly_report.checked,
-                "violations": [
-                    {"signal": v.signal, "size": v.size, "margin": v.margin}
-                    for v in poly_report.violations
-                ],
-            }
+            doc["poly_bound"] = dataclasses.asdict(poly_report)
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return code
 
@@ -208,12 +184,8 @@ def _cmd_gen_tree(args) -> int:
 
 
 def _cmd_expand_bdd(args) -> int:
-    circuit = _load_or_exit(args.circuit)
-    try:
-        order = _resolve_order(args.order, circuit)
-    except BddCheckError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    circuit = _load(args.circuit)
+    order = _resolve_order(args.order, circuit)
     try:
         res = simulate(circuit, order, node_limit=args.capacity)
     except SimulationCapacityError as exc:
@@ -222,8 +194,7 @@ def _cmd_expand_bdd(args) -> int:
         return EXIT_CAPACITY
     mgr = res.manager
     roots = [res.signal_bdds[po] for po in circuit.outputs]
-    var_names = {i: circuit.inputs[i] for i in range(len(circuit.inputs))}
-    generated, _ = expand_to_circuit(mgr, roots, args.mode, var_names)
+    var_names = dict(enumerate(circuit.inputs))
     try:
         report = roundtrip_verify(mgr, roots, args.mode, var_names,
                                   node_limit=args.capacity)
@@ -233,7 +204,7 @@ def _cmd_expand_bdd(args) -> int:
         return EXIT_CAPACITY
     doc = report.to_json()
     doc["provenance"] = _provenance(args)
-    netlist_text = serialize(generated)
+    netlist_text = serialize(report.circuit)
     if args.out:
         _emit(netlist_text, args.out)
         if args.format == "text":
@@ -315,9 +286,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except BddCheckError as exc:
+    except (BddCheckError, OSError) as exc:
+        # usage errors, and files that cannot be read or written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bdd import DEFAULT_NODE_LIMIT, Manager, ONE, ZERO
-from .circuit import Circuit, Gate, dfs_variable_order
+from .circuit import Circuit, Gate, dfs_variable_order, fresh_name
 from .errors import BddCheckError, InterfaceError
 from .oracle import evaluate_circuit
 from .simulate import SimStats, SimulationCapacityError, simulate
@@ -38,24 +38,16 @@ def _rename_side(c: Circuit, prefix: str, taken: set[str]):
     gates = []
     constants = []
     for name, bit in c.constants:
-        fresh = _unique(prefix + name, taken)
+        fresh = fresh_name(prefix + name, taken)
         mapping[name] = fresh
         constants.append((fresh, bit))
     for g in c.gates:
-        fresh = _unique(prefix + g.output, taken)
+        fresh = fresh_name(prefix + g.output, taken)
         mapping[g.output] = fresh
     for g in c.gates:
         gates.append(Gate(g.kind, mapping[g.output],
                           tuple(mapping[s] for s in g.inputs)))
     return gates, constants, [mapping[po] for po in c.outputs]
-
-
-def _unique(base: str, taken: set[str]) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    taken.add(name)
-    return name
 
 
 def build_miter(c1: Circuit, c2: Circuit) -> Circuit:
@@ -82,21 +74,43 @@ def build_miter(c1: Circuit, c2: Circuit) -> Circuit:
     gates1, consts1, pos1 = _rename_side(c1, "l__", taken)
     gates2, consts2, pos2 = _rename_side(c2, "r__", taken)
     gates = gates1 + gates2
-    out = _unique("out", taken)
+    out = fresh_name("out", taken)
     if len(pos1) == 1:
         gates.append(Gate("xor", out, (pos1[0], pos2[0])))
     else:
         xors = []
         for j, (a, b) in enumerate(zip(pos1, pos2)):
-            x = _unique(f"miter__x{j}", taken)
+            x = fresh_name(f"miter__x{j}", taken)
             gates.append(Gate("xor", x, (a, b)))
             xors.append(x)
         acc = xors[0]
         for j, x in enumerate(xors[1:]):
-            nxt = out if j == len(xors) - 2 else _unique(f"miter__o{j}", taken)
+            nxt = out if j == len(xors) - 2 else fresh_name(f"miter__o{j}", taken)
             gates.append(Gate("or", nxt, (acc, x)))
             acc = nxt
     return Circuit(c1.inputs, (out,), gates, tuple(consts1 + consts2))
+
+
+def _satisfiable(mgr: Manager, f: int, fixed: list[int]) -> bool:
+    """Whether ``f`` has a 1-path once variable ``i`` is set to ``fixed[i]``
+    for every ``i < len(fixed)``; the other variables stay free."""
+    n = len(fixed)
+    seen = set()
+    stack = [f]
+    while stack:
+        u = stack.pop()
+        if u == ONE:
+            return True
+        if u == ZERO or u in seen:
+            continue
+        seen.add(u)
+        i = mgr.var_index(u)
+        if i >= n:
+            stack.append(mgr.low(u))
+            stack.append(mgr.high(u))
+        else:
+            stack.append(mgr.high(u) if fixed[i] else mgr.low(u))
+    return False
 
 
 def extract_counterexample(mgr: Manager, f: int) -> list[int]:
@@ -104,20 +118,17 @@ def extract_counterexample(mgr: Manager, f: int) -> list[int]:
 
     Smallest by variable index, preferring 0; variables outside the
     support are fixed to 0.  Returns one bit per manager variable.
+    Only walks the existing nodes, so it creates none and cannot hit
+    the node limit.
     """
     if f == ZERO:
         raise BddCheckError("function is constant 0: no witness exists")
     bits = []
-    cur = f
-    for i in range(mgr.var_count):
-        low = mgr.cofactor(cur, i, 0)
-        if low != ZERO:
-            bits.append(0)
-            cur = low
-        else:
-            bits.append(1)
-            cur = mgr.cofactor(cur, i, 1)
-    assert cur == ONE
+    for _ in range(mgr.var_count):
+        bits.append(0)
+        if not _satisfiable(mgr, f, bits):
+            bits[-1] = 1
+    assert mgr.eval(f, bits) == ONE
     return bits
 
 

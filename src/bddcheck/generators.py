@@ -10,7 +10,7 @@ import random
 from typing import Sequence
 
 from .bdd import Manager, ONE, ZERO
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, fresh_name
 
 TREE_KINDS = ("and", "or", "nand", "nor")
 DAG_KINDS = ("and", "or", "nand", "nor", "xor", "inv", "buf", "mux")
@@ -172,8 +172,8 @@ def demorgan_rewrite(c: Circuit, seed: int = 0, prob: float = 0.5) -> Circuit:
     gates = []
     for g in c.gates:
         if g.kind in swap and len(g.inputs) == 2 and rng.random() < prob:
-            na = _fresh(f"{g.output}__dm0", taken)
-            nb = _fresh(f"{g.output}__dm1", taken)
+            na = fresh_name(f"{g.output}__dm0", taken)
+            nb = fresh_name(f"{g.output}__dm1", taken)
             gates.append(Gate("inv", na, (g.inputs[0],)))
             gates.append(Gate("inv", nb, (g.inputs[1],)))
             gates.append(Gate(swap[g.kind], g.output, (na, nb)))
@@ -239,11 +239,3 @@ def random_bdd(mgr: Manager, seed: int = 0,
     if f in (ZERO, ONE):
         f = mgr.apply("xor", (f, mgr.var(variables[0])))
     return f
-
-
-def _fresh(base: str, taken: set[str]) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    taken.add(name)
-    return name

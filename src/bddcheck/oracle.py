@@ -43,50 +43,44 @@ def input_pattern(i: int, n: int) -> int:
     return full // ((1 << period) - 1) * (((1 << chunk) - 1) << chunk)
 
 
-def circuit_truth_table(c: Circuit, cap: int = TABLE_CAP) -> TruthTable:
-    """Gate-level evaluation of every assignment, one column per output."""
-    n = len(c.inputs)
-    if n > cap:
-        raise ValueError(f"{n} inputs exceed the truth-table cap of {cap}")
-    rows = 1 << n
-    full = (1 << rows) - 1
-    masks = {name: input_pattern(i, n) for i, name in enumerate(c.inputs)}
+def _evaluate(c: Circuit, masks: dict[str, int], full: int) -> list[int]:
+    """Bitwise gate-level evaluation of many assignments at once.
+
+    ``masks`` maps every input to its column (one bit per assignment
+    row) and ``full`` has a 1 in every row; returns one column per output.
+    """
     for name, bit in c.constants:
         masks[name] = full if bit else 0
     for g in topological_order(c):
         ins = [masks[s] for s in g.inputs]
         kind = g.kind
-        if kind == "and":
-            v = ins[0]
+        v = ins[0]
+        if kind in ("and", "nand"):
             for m in ins[1:]:
                 v &= m
-        elif kind == "or":
-            v = ins[0]
+        elif kind in ("or", "nor"):
             for m in ins[1:]:
                 v |= m
-        elif kind == "nand":
-            v = ins[0]
-            for m in ins[1:]:
-                v &= m
-            v ^= full
-        elif kind == "nor":
-            v = ins[0]
-            for m in ins[1:]:
-                v |= m
-            v ^= full
         elif kind == "xor":
-            v = ins[0]
             for m in ins[1:]:
                 v ^= m
-        elif kind == "inv":
-            v = ins[0] ^ full
-        elif kind == "buf":
-            v = ins[0]
-        else:  # mux: (select, else, then)
+        elif kind == "mux":          # (select, else, then)
             s, e, t = ins
             v = (s & t) | ((s ^ full) & e)
+        if kind in ("nand", "nor", "inv"):
+            v ^= full
         masks[g.output] = v
-    return TruthTable(n, c.outputs, tuple(masks[po] for po in c.outputs))
+    return [masks[po] for po in c.outputs]
+
+
+def circuit_truth_table(c: Circuit, cap: int = TABLE_CAP) -> TruthTable:
+    """Gate-level evaluation of every assignment, one column per output."""
+    n = len(c.inputs)
+    if n > cap:
+        raise ValueError(f"{n} inputs exceed the truth-table cap of {cap}")
+    masks = {name: input_pattern(i, n) for i, name in enumerate(c.inputs)}
+    columns = _evaluate(c, masks, (1 << (1 << n)) - 1)
+    return TruthTable(n, c.outputs, tuple(columns))
 
 
 def tables_equal(a: TruthTable, b: TruthTable):
@@ -105,33 +99,8 @@ def tables_equal(a: TruthTable, b: TruthTable):
 
 def evaluate_circuit(c: Circuit, assignment: Mapping[str, int]) -> list[int]:
     """Gate-level evaluation of one assignment; returns the output bits."""
-    values = {name: int(assignment[name]) for name in c.inputs}
-    for name, bit in c.constants:
-        values[name] = bit
-    for g in topological_order(c):
-        ins = [values[s] for s in g.inputs]
-        kind = g.kind
-        if kind == "and":
-            v = int(all(ins))
-        elif kind == "or":
-            v = int(any(ins))
-        elif kind == "nand":
-            v = int(not all(ins))
-        elif kind == "nor":
-            v = int(not any(ins))
-        elif kind == "xor":
-            v = 0
-            for b in ins:
-                v ^= b
-        elif kind == "inv":
-            v = 1 - ins[0]
-        elif kind == "buf":
-            v = ins[0]
-        else:  # mux
-            s, e, t = ins
-            v = t if s else e
-        values[g.output] = v
-    return [values[po] for po in c.outputs]
+    row = {name: 1 if int(assignment[name]) else 0 for name in c.inputs}
+    return _evaluate(c, row, 1)
 
 
 def bdd_function_table(mgr, f: int, cap: int = TABLE_CAP) -> int:

@@ -16,7 +16,6 @@ nodes reachable from the live signals, tracked incrementally;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -363,7 +362,3 @@ def stats_to_json(stats: SimStats) -> dict:
             for r in stats.rows
         ],
     }
-
-
-def stats_json_text(stats: SimStats) -> str:
-    return json.dumps(stats_to_json(stats), indent=2) + "\n"

@@ -9,8 +9,8 @@ from bddcheck import (ABORTED, BddCheckError, Circuit, EQUIVALENT, Gate,
                       build_miter, check_equivalence, circuit_truth_table,
                       decompose_multi_input, evaluate_circuit, expand_mux,
                       extract_counterexample, simulate, tables_equal)
-from bddcheck.generators import (demorgan_rewrite, mutate_gate,
-                                 random_dag_circuit)
+from bddcheck.generators import (array_multiplier, demorgan_rewrite,
+                                 mutate_gate, random_bdd, random_dag_circuit)
 
 
 def and2():
@@ -102,6 +102,28 @@ class TestExtractCounterexample:
             )
             assert tuple(got) == want
 
+    def test_minimal_under_a_permuted_order(self):
+        # smallest by variable index, whatever level each variable tests at
+        for seed in range(5):
+            order = list(range(5))
+            random.Random(seed).shuffle(order)
+            m = Manager(5, order)
+            f = random_bdd(m, seed=seed)
+            got = extract_counterexample(m, f)
+            want = min(tuple((r >> i) & 1 for i in range(5))
+                       for r in range(32)
+                       if m.eval(f, [(r >> i) & 1 for i in range(5)]))
+            assert tuple(got) == want
+
+    def test_extraction_creates_no_nodes(self):
+        # bottom-up order: fixing variable 0 first restricts the lowest level
+        m = Manager(8, list(reversed(range(8))))
+        f = random_bdd(m, seed=3)
+        created, calls = m.created_count, m.ite_calls
+        bits = extract_counterexample(m, f)
+        assert m.eval(f, bits) == 1
+        assert (m.created_count, m.ite_calls) == (created, calls)
+
 
 class TestCheckEquivalence:
     def test_reflexivity_on_random_circuits(self):
@@ -163,6 +185,16 @@ class TestCheckEquivalence:
         assert out.verdict == ABORTED
         assert out.counterexample is None
         assert not out.stats.completed
+
+    def test_witness_found_at_the_miter_node_limit(self):
+        # the miter fits in 15594 nodes; extracting its witness must not
+        # need any more
+        c1 = array_multiplier(6)
+        c2 = mutate_gate(c1, seed=25)
+        out = check_equivalence(c1, c2, node_limit=15594)
+        assert out.verdict == NOT_EQUIVALENT
+        assert evaluate_circuit(c1, out.counterexample) != evaluate_circuit(
+            c2, out.counterexample)
 
     def test_outcome_stats_present(self):
         out = check_equivalence(and2(), and2())
