@@ -11,6 +11,21 @@ Synthesis goes through the ternary ``ite`` operator,
 ``ite(f, 0, 1)``; there are no complement edges.  The manager never
 frees nodes and never reorders, so ``created_count`` and ``ite_calls``
 are faithful monotone instruments for size and work measurements.
+
+Each ``ite`` call normalises its triple once, at entry (Brace, Rudell
+and Bryant, DAC 1990, in the forms that hold without complement
+edges): ``ite(f,f,h)`` becomes ``ite(f,1,h)``, ``ite(f,g,f)`` becomes
+``ite(f,g,0)``, the operands of an AND ``ite(f,g,0)`` and of an OR
+``ite(f,1,h)`` are ordered by handle, and when the negation ``~f`` is
+known, ``ite(f,0,h)`` becomes ``ite(~f,h,0)``, ``ite(f,g,1)`` becomes
+``ite(~f,1,g)``, ``f AND ~f`` is 0 and ``f OR ~f`` is 1.  Negations
+live in the computed table as its ``(f, 0, 1)`` entries; an inversion
+called from outside also stores the reverse pair, so
+``clear_computed_cache`` forgets them with everything else.  The
+rewritten triple has the same canonical result, so normalisation
+changes neither handles nor ``created_count``; it only saves ``ite``
+entries.  Node sizes are memoised by handle, since a node never
+changes once made.
 """
 
 from __future__ import annotations
@@ -40,8 +55,12 @@ class Manager:
 
     - ``created_count``: internal nodes ever created (monotone).
     - ``ite_calls``: ``ite`` entries that were answered neither by a
-      terminal case nor by the computed table, i.e. entries that
-      actually recursed.
+      terminal case, nor by the normalisation at entry, nor by the
+      computed table, i.e. entries that actually recursed.
+
+    ``ite`` normalises standard triples at entry, with the negations
+    that the computed table holds; ``size`` remembers the size of every
+    handle it has measured.  See the module docstring.
     """
 
     def __init__(self, var_count: int, order: Sequence[int] | None = None,
@@ -67,6 +86,7 @@ class Manager:
         self._low = [-1, -1]
         self._unique = {}                            # (level, high, low) -> ref
         self._cache = {}                             # (f, g, h) -> ref
+        self._sizes = {}                             # ref -> size(ref)
         self.created_count = 0
         self.ite_calls = 0
         # ite/cofactor recurse one frame per level
@@ -163,6 +183,47 @@ class Manager:
         return self._ite(f, g, h)
 
     def _ite(self, f, g, h):
+        # terminal cases
+        if f == 1 or g == h:
+            return g
+        if f == 0:
+            return h
+        # standard triples, normalised once here rather than at every
+        # step of the recursion
+        if g == f:
+            g = ONE
+        elif h == f:
+            h = ZERO
+        if g == h:
+            return g
+        if g == ONE and h == ZERO:
+            return f
+        cache = self._cache
+        if g == ZERO:
+            if h == ONE:
+                r = self._rec(f, ZERO, ONE)
+                cache[r, ZERO, ONE] = f          # the negation of r is f
+                return r
+            nf = cache.get((f, ZERO, ONE))       # ite(f,0,h) = ite(~f,h,0)
+            if nf is not None:
+                f, g, h = nf, h, ZERO
+        elif h == ONE:
+            nf = cache.get((f, ZERO, ONE))       # ite(f,g,1) = ite(~f,1,g)
+            if nf is not None:
+                f, g, h = nf, ONE, g
+        if h == ZERO:                            # f AND g
+            if cache.get((f, ZERO, ONE)) == g:
+                return ZERO
+            if g < f:
+                f, g = g, f
+        elif g == ONE:                           # f OR h
+            if cache.get((f, ZERO, ONE)) == h:
+                return ONE
+            if h < f:
+                f, h = h, f
+        return self._rec(f, g, h)
+
+    def _rec(self, f, g, h):
         # the arena lists grow in place; binding them once is safe
         cache = self._cache
         cache_get = cache.get
@@ -318,41 +379,99 @@ class Manager:
             node = self._high[node] if bit else self._low[node]
         return node
 
-    def _nodes(self, stack: list[int]) -> set[int]:
-        """Internal nodes reachable from the handles on ``stack``, which
-        the walk consumes."""
+    def _nodes(self, roots: Iterable[int]) -> set[int]:
+        """Internal nodes reachable from ``roots``."""
         high = self._high
         low = self._low
-        seen = set()
+        seen = {ZERO, ONE}
+        seen.update(roots)
+        stack = [u for u in seen if u > 1]
         add = seen.add
         pop = stack.pop
         push = stack.append
+        # a node is marked when it is pushed, so none is pushed twice
         while stack:
             u = pop()
-            if u > 1 and u not in seen:
-                add(u)
-                push(high[u])
-                push(low[u])
+            v = high[u]
+            if v not in seen:
+                add(v)
+                push(v)
+            v = low[u]
+            if v not in seen:
+                add(v)
+                push(v)
+        seen.discard(ZERO)
+        seen.discard(ONE)
         return seen
 
     def reachable(self, roots: int | Iterable[int]) -> list[int]:
         """Internal nodes reachable from the roots, ascending by handle."""
-        stack = [roots] if isinstance(roots, int) else list(roots)
-        for r in stack:
+        roots = [roots] if isinstance(roots, int) else list(roots)
+        for r in roots:
             self._check_ref(r)
-        return sorted(self._nodes(stack))
+        return sorted(self._nodes(roots))
 
     def size(self, f: int) -> int:
-        """Number of internal nodes reachable from ``f`` (terminals excluded)."""
+        """Number of internal nodes reachable from ``f`` (terminals excluded).
+
+        Memoised by handle: a node never changes once made.  A node with
+        a terminal child has one node more than its other child, so a
+        run of such nodes is counted without a walk; only a node below
+        the run with two internal children is walked.
+        """
         self._check_ref(f)
-        return len(self._nodes([f]))
+        sizes = self._sizes
+        n = sizes.get(f)
+        if n is None:
+            high = self._high
+            low = self._low
+            n = 0
+            u = f
+            while u > 1:
+                m = sizes.get(u)
+                if m is not None:
+                    n += m
+                    break
+                hu = high[u]
+                lu = low[u]
+                if hu > 1 and lu > 1:
+                    n += len(self._nodes((u,)))
+                    break
+                n += 1
+                u = lu if hu <= 1 else hu
+            sizes[f] = n
+        return n
+
+    def depends_on(self, f: int, index: int) -> bool:
+        """Whether variable ``index`` is in the support of ``f``.
+
+        Only nodes above the variable's level are walked: a node below
+        it cannot reach a node that tests it.
+        """
+        self._check_ref(f)
+        target = self.level_of_var(index)
+        level = self._level
+        high = self._high
+        low = self._low
+        seen = set()
+        stack = [f]
+        while stack:
+            u = stack.pop()
+            lvl = level[u]
+            if lvl == target:
+                return True
+            if lvl < target and u not in seen:
+                seen.add(u)
+                stack.append(high[u])
+                stack.append(low[u])
+        return False
 
     def support(self, f: int) -> set[int]:
         """Variable indices tested by nodes reachable from ``f``."""
         self._check_ref(f)
         var_at = self._var_at
         level = self._level
-        return {var_at[level[u]] for u in self._nodes([f])}
+        return {var_at[level[u]] for u in self._nodes((f,))}
 
     def dump(self, roots: int | Iterable[int]) -> str:
         """Reachable internal nodes as ``id var high low`` text lines.

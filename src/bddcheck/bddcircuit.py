@@ -206,7 +206,7 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
                     u, ns_sig, "inverter_size", f"size {nsz}, expected 1"))
             for check, child in (("else_independent", mgr.low(u)),
                                  ("then_independent", mgr.high(u))):
-                if sel_var in sim.support(iso[child]):
+                if sim.depends_on(iso[child], sel_var):
                     violations.append(RoundtripViolation(
                         u, nmap.signal_for(child), check,
                         f"data input depends on select variable {sel_var}"))

@@ -84,7 +84,8 @@ class _LiveTracker:
     """Incremental count of internal nodes reachable from the root set.
 
     ``_refs[v]`` counts root slots on ``v`` plus reachable parents of
-    ``v``; a node is live while its count is positive.  Adding or
+    ``v``; a node is live while its count is positive.  ``_refs`` is a
+    list indexed by handle that grows with the arena.  Adding or
     removing a root costs one traversal of the nodes whose reachability
     actually changes.
     """
@@ -93,17 +94,19 @@ class _LiveTracker:
         # the arena lists grow in place, so binding them once is safe
         self._high = mgr._high
         self._low = mgr._low
-        self._refs = {}
+        self._refs = []
         self.live = 0
 
     def add_root(self, ref: int):
         high = self._high
         low = self._low
         refs = self._refs
+        if len(refs) < len(high):
+            refs.extend([0] * (len(high) - len(refs)))
         stack = [ref]
         while stack:
             u = stack.pop()
-            c = refs.get(u, 0)
+            c = refs[u]
             refs[u] = c + 1
             if c == 0 and u > 1:
                 self.live += 1

@@ -425,3 +425,129 @@ class TestMakeAndReachable:
         for u in nodes:
             for child in (m.high(u), m.low(u)):
                 assert child <= 1 or child in inside
+
+
+class TestEntryNormalisation:
+    """``ite`` rewrites standard triples at entry; results stay canonical."""
+
+    N = 6
+    FULL = (1 << (1 << 6)) - 1
+
+    def _pool(self, seed):
+        rng = random.Random(seed)
+        m = Manager(self.N)
+        pool = [m.var(i) for i in range(self.N)]
+        for _ in range(30):
+            random_node(m, rng, pool)
+        for f in rng.sample(pool, 12):
+            pool.append(m.inv(f))            # negations the table knows
+        return m, rng, pool
+
+    def test_rewrite_rules_match_brute_force(self):
+        m, rng, pool = self._pool(4242)
+        neg = {f: m.inv(f) for f in pool}
+        ref_of_table = {}
+        for _ in range(150):
+            f, g, h = (rng.choice(pool) for _ in range(3))
+            nf = neg[f]
+            triples = [(f, f, h), (f, g, f), (f, g, ZERO), (g, f, ZERO),
+                       (f, ONE, h), (h, ONE, f), (f, ZERO, h), (f, g, ONE),
+                       (f, nf, ZERO), (nf, f, ZERO), (f, ONE, nf),
+                       (nf, ONE, f), (f, nf, f), (f, f, nf)]
+            for a, b, c in triples:
+                r = m.ite(a, b, c)
+                ta, tb, tc = (bdd_function_table(m, x) for x in (a, b, c))
+                want = (ta & tb) | ((ta ^ self.FULL) & tc)
+                assert bdd_function_table(m, r) == want
+                assert ref_of_table.setdefault(want, r) == r
+
+    def test_complementary_operands_resolve_to_terminals(self):
+        m, rng, pool = self._pool(77)
+        for f in pool[self.N:]:
+            nf = m.inv(f)
+            calls = m.ite_calls
+            assert m.apply("and", [f, nf]) == ZERO
+            assert m.apply("and", [nf, f]) == ZERO
+            assert m.apply("or", [f, nf]) == ONE
+            assert m.apply("or", [nf, f]) == ONE
+            assert m.ite_calls == calls
+
+    def test_de_morgan_nor_of_inversions_hits_the_and(self):
+        m, rng, pool = self._pool(5)
+        for _ in range(20):
+            a, b = rng.choice(pool), rng.choice(pool)
+            ab = m.apply("and", [a, b])
+            na, nb = m.inv(a), m.inv(b)
+            calls = m.ite_calls
+            assert m.apply("nor", [na, nb]) == ab
+            assert m.ite_calls == calls
+
+    def test_xor_with_itself_creates_only_the_inversion(self):
+        for seed in range(10):
+            # twin managers: the same construction, then xor(f, f) in one
+            # and inv(f) in the other
+            (m, f), (t, tf) = (self._last_node(seed) for _ in range(2))
+            before = set(range(2, m.created_count + 2))
+            calls = m.ite_calls
+            assert m.apply("xor", [f, f]) == ZERO
+            new = set(range(2, m.created_count + 2)) - before
+            assert new == set(m.reachable(m.inv(f))) - before
+            t_calls = t.ite_calls
+            t.inv(tf)
+            assert m.ite_calls - calls == t.ite_calls - t_calls
+            assert m.created_count == t.created_count
+
+    def _last_node(self, seed):
+        rng = random.Random(seed)
+        m = Manager(self.N)
+        pool = [m.var(i) for i in range(self.N)]
+        for _ in range(25):
+            random_node(m, rng, pool)
+        return m, max(pool)
+
+    def test_clear_computed_cache_forgets_negations(self):
+        m, rng, pool = self._pool(13)
+        f, g = max(pool), rng.choice(pool)
+        nf = m.inv(f)
+        fg = m.apply("and", [f, g])
+        calls = m.ite_calls
+        assert m.inv(nf) == f                # the inversion stored both ways
+        assert m.ite(nf, ZERO, g) == fg      # ~nf is known: the AND of f, g
+        assert m.ite_calls == calls
+        m.clear_computed_cache()
+        assert m.inv(nf) == f
+        assert m.ite_calls > calls
+
+
+class TestSizeMemo:
+    def test_memo_and_terminal_child_rule_match_a_fresh_walk(self):
+        for seed in range(8):
+            rng = random.Random(seed)
+            m = Manager(8, rng.sample(range(8), 8))
+            pool = [m.var(i) for i in range(8)]
+            for _ in range(60):
+                random_node(m, rng, pool)
+            handles = list(range(2, m.created_count + 2))
+            rng.shuffle(handles)
+            for u in handles + handles:        # second pass: memo hits
+                assert m.size(u) == len(m.reachable(u))
+
+    def test_chain_of_terminal_children(self):
+        m = Manager(12)
+        f = m.apply("and", [m.var(i) for i in range(12)])
+        g = m.apply("or", [m.var(i) for i in range(12)])
+        assert m.size(g) == 12
+        assert m.size(f) == 12
+        h = m.apply("xor", [f, g])
+        assert m.size(h) == len(m.reachable(h))
+
+    def test_depends_on_matches_support(self):
+        rng = random.Random(21)
+        m = Manager(8, rng.sample(range(8), 8))
+        pool = [m.var(i) for i in range(8)]
+        for _ in range(60):
+            random_node(m, rng, pool)
+        for f in pool + [ZERO, ONE]:
+            sup = m.support(f)
+            for i in range(8):
+                assert m.depends_on(f, i) == (i in sup)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from bddcheck import bddcircuit, cli, evaluate_circuit, is_tree, parse, serialize
+from bddcheck import (bddcircuit, cli, evaluate_circuit, is_tree, parse,
+                      roundtrip_verify, serialize, simulate)
 from bddcheck.cli import main
 from bddcheck.generators import array_multiplier, mutate_gate
 from bddcheck.simulate import CSV_HEADER
@@ -192,6 +193,29 @@ class TestExpandBdd:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         assert report["max_internal_size"] <= report["original_size"] + 1
+
+    def test_capacity_abort_in_the_first_simulation(self, files, capsys):
+        net = files("t.net", TREE_NET)
+        assert main(["expand-bdd", net, "--mode", "gates",
+                     "--capacity", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "capacity abort while simulating" in captured.err
+        assert captured.out == ""
+
+    def test_capacity_abort_in_the_round_trip_only(self, files, capsys):
+        # a capacity that holds the original BDD but not the round trip's
+        c = parse(OR_NET)
+        res = simulate(c)
+        original = res.manager.created_count
+        rep = roundtrip_verify(res.manager, [res.signal_bdds["y"]], "gates",
+                               dict(enumerate(c.inputs)))
+        assert rep.stats.created_baseline + rep.stats.created_total > original
+        net = files("or.net", OR_NET)
+        assert main(["expand-bdd", net, "--mode", "gates",
+                     "--capacity", str(original)]) == 2
+        captured = capsys.readouterr()
+        assert "capacity abort during round trip" in captured.err
+        assert captured.out == ""
 
 
 class TestUsage:
