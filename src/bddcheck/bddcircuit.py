@@ -206,9 +206,10 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
                     u, ns_sig, "inverter_size", f"size {nsz}, expected 1"))
             for check, child in (("else_independent", mgr.low(u)),
                                  ("then_independent", mgr.high(u))):
-                if sim.depends_on(iso[child], sel_var):
+                data_sig = nmap.signal_for(child)
+                if sim.depends_on(res.signal_bdds[data_sig], sel_var):
                     violations.append(RoundtripViolation(
-                        u, nmap.signal_for(child), check,
+                        u, data_sig, check,
                         f"data input depends on select variable {sel_var}"))
     return RoundtripReport(not violations, mode,
                            len(nmap.signals), max_size,

@@ -16,6 +16,7 @@ version, the seed and a hash of the effective configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -63,12 +64,18 @@ def _provenance(args, **extra) -> dict:
     }
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(report: str | dict, out_path: str | None, stream=None):
+    """Write a text report, or a JSON document indented by two spaces and
+    ended by a newline, to the file ``out_path`` or else to ``stream``
+    (stdout by default).  A document is written as it is encoded, not
+    first built as one string."""
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(stream or sys.stdout)) as fh:
+        if isinstance(report, str):
+            fh.write(report)
+        else:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
 
 
 def _resolve_order(source: str, circuit) -> list[int]:
@@ -110,15 +117,11 @@ def _cmd_verify(args) -> int:
         "stats": {k: getattr(outcome.stats, k) for k in VERIFY_STATS},
         "provenance": _provenance(args),
     }
-    if args.format == "text":
-        lines = [f"verdict: {outcome.verdict}"]
-        if outcome.counterexample is not None:
-            pretty = " ".join(f"{k}={v}"
-                              for k, v in outcome.counterexample.items())
-            lines.append(f"counterexample: {pretty}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+    text = f"verdict: {outcome.verdict}\n"
+    if outcome.counterexample is not None:
+        pretty = " ".join(f"{k}={v}" for k, v in outcome.counterexample.items())
+        text += f"counterexample: {pretty}\n"
+    _emit(text if args.format == "text" else report, args.out)
     if outcome.verdict == EQUIVALENT:
         return EXIT_OK
     if outcome.verdict == NOT_EQUIVALENT:
@@ -131,8 +134,7 @@ def _cmd_simulate(args) -> int:
     code = EXIT_OK
     order = _resolve_order(args.order, circuit)
     try:
-        res = simulate(circuit, order, node_limit=args.capacity)
-        stats = res.stats
+        stats = simulate(circuit, order, node_limit=args.capacity).stats
     except SimulationCapacityError as exc:
         stats = exc.stats
         code = EXIT_CAPACITY
@@ -160,7 +162,7 @@ def _cmd_simulate(args) -> int:
         doc["provenance"] = _provenance(args)
         if poly_report is not None:
             doc["poly_bound"] = dataclasses.asdict(poly_report)
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(doc, args.out)
     return code
 
 
@@ -204,19 +206,10 @@ def _cmd_expand_bdd(args) -> int:
         return EXIT_CAPACITY
     doc = report.to_json()
     doc["provenance"] = _provenance(args)
-    netlist_text = serialize(report.circuit)
-    if args.out:
-        _emit(netlist_text, args.out)
-        if args.format == "text":
-            sys.stdout.write(_roundtrip_text(report))
-        else:
-            sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        sys.stdout.write(netlist_text)
-        if args.format == "text":
-            sys.stderr.write(_roundtrip_text(report))
-        else:
-            sys.stderr.write(json.dumps(doc, indent=2) + "\n")
+    _emit(serialize(report.circuit), args.out)
+    # the report goes to stdout unless the netlist does
+    _emit(_roundtrip_text(report) if args.format == "text" else doc, None,
+          sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK if report.ok else EXIT_NOT_EQUIVALENT
 
 
@@ -237,18 +230,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False, mode=False):
+    def common(sp, formats=("json", "text")):
         sp.add_argument("--order", default="dfs",
                         help="variable order source: dfs, declared, or file:PATH")
         sp.add_argument("--capacity", type=int, default=DEFAULT_NODE_LIMIT,
                         help="node limit (default 2^26)")
-        sp.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
-        if mode:
-            sp.add_argument("--mode", choices=("mux", "gates"), default="mux")
+        sp.add_argument("--format", choices=formats, default="json")
 
     sp = sub.add_parser("verify", help="check two netlists for equivalence")
     sp.add_argument("left")
@@ -258,7 +245,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="symbolically simulate a netlist")
     sp.add_argument("circuit")
-    common(sp)
+    common(sp, ("json", "csv", "text"))
     sp.add_argument("--poly-degree", type=int, default=None)
     sp.add_argument("--poly-coeff", type=float, default=1.0)
     sp.add_argument("--poly-gap", type=int, default=1)
@@ -267,14 +254,18 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen-tree", help="emit a random fanout-free netlist")
     sp.add_argument("n", type=int)
     sp.add_argument("--depth", type=int, default=0)
-    common(sp, seed=True)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_gen_tree)
 
     sp = sub.add_parser("expand-bdd",
                         help="expand a netlist's output BDDs into a MUX netlist")
     sp.add_argument("circuit")
-    common(sp, mode=True)
+    common(sp)
+    sp.add_argument("--mode", choices=("mux", "gates"), default="mux")
     sp.set_defaults(func=_cmd_expand_bdd)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
     return p
 
 

@@ -7,25 +7,29 @@ the baseline; ``created_cum``/``created_total`` count the nodes created
 by gate processing on top of that baseline (the raw arena counter is
 ``baseline + created_total``).
 
-A signal is *live* while some not-yet-simulated gate still consumes it,
-or it is an output that has been computed, or it is an input (inputs
-stay live for the whole run).  ``live_nodes`` is the number of internal
-nodes reachable from the live signals, tracked incrementally;
-``peak_live`` is its maximum over the run.
+A signal is *live* from its definition until its last consumer gate
+has been simulated; inputs and outputs stay live to the end of the run.
+``live_nodes`` is the number of internal nodes reachable from the live
+signals, tracked incrementally; ``peak_live`` is its maximum over the
+run.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import NamedTuple
 
 from .bdd import DEFAULT_NODE_LIMIT, Manager, ONE, ZERO
-from .circuit import Circuit, dfs_variable_order, expand_mux, topological_order
+from .circuit import Circuit, dfs_variable_order, topological_order
 from .errors import CapacityError
 
 
-@dataclass
-class SignalRow:
+class SignalRow(NamedTuple):
+    """One signal of the trace; the field order is the column order of
+    :data:`SIGNAL_KEYS`."""
+
     topo_index: int
     signal: str
     kind: str            # gate kind, or "input" / "const"
@@ -51,10 +55,6 @@ class SimStats:
     @property
     def per_signal_size(self) -> dict[str, int]:
         return {r.signal: r.size for r in self.rows}
-
-    @property
-    def created_after(self) -> dict[str, int]:
-        return {r.signal: r.created_cum for r in self.rows}
 
 
 @dataclass
@@ -137,18 +137,17 @@ def order_to_levels(order: list[int]) -> list[int]:
 
 
 def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
-             track_live: bool = True, expand_muxes: bool = False) -> SimResult:
+             track_live: bool = True) -> SimResult:
     """Build BDDs for every signal of the circuit.
 
     ``order`` lists input indices from the top level down; ``None``
-    selects the DFS order.  MUX gates are simulated natively as one ite
-    call unless ``expand_muxes`` replaces them by their standard gate
-    realization first.  On capacity exhaustion a
+    selects the DFS order.  A MUX gate is one ite call; to simulate its
+    standard gate realization instead, pass ``expand_mux(circuit)``.
+    With ``track_live=False`` the rows and ``peak_live`` carry ``None``
+    for the live node count.  On capacity exhaustion a
     :class:`SimulationCapacityError` carries the partial stats and
     names the failing signal.
     """
-    if expand_muxes:
-        circuit = expand_mux(circuit)
     n = len(circuit.inputs)
     order = list(order) if order is not None else dfs_variable_order(circuit)
     if sorted(order) != list(range(n)):
@@ -158,77 +157,63 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     bdds: dict[str, int] = {}
     stats = SimStats(order_used=tuple(order), input_count=n,
                      node_limit=node_limit)
+    rows = stats.rows
     tracker = _LiveTracker(mgr) if track_live else None
-    pi_set = set(circuit.inputs)
-    po_set = set(circuit.outputs)
-    remaining = {}                    # signal -> unsimulated consumer gates
-    for g in circuit.gates:
-        for s in g.inputs:
-            remaining[s] = remaining.get(s, 0) + 1
-    rooted = set()
+    if tracker:
+        # one use per gate still to read the signal, and one that never
+        # ends for each input and output: a signal is a root of the live
+        # count from its definition until its uses reach 0
+        uses = Counter(circuit.inputs)
+        uses.update(circuit.outputs)
+        uses.update(s for g in circuit.gates for s in g.inputs)
 
-    topo_index = 0
-    current_signal = None
-    peak = tracker.live if tracker else None
+    def define(name, ref):
+        bdds[name] = ref
+        if tracker and uses[name]:
+            tracker.add_root(ref)
+
+    signal = None
+    peak = 0 if tracker else None
     try:
-        for i, name in enumerate(circuit.inputs):
-            current_signal = name
-            b = mgr.var(i)
-            bdds[name] = b
-            if tracker:
-                tracker.add_root(b)
-                rooted.add(name)
-            stats.rows.append(SignalRow(topo_index, name, "input", 1, 0,
-                                        tracker.live if tracker else None, 0))
-            topo_index += 1
-        for name, bit in circuit.constants:
-            bdds[name] = ONE if bit else ZERO
-            if tracker and (remaining.get(name, 0) > 0 or name in po_set):
-                tracker.add_root(bdds[name])
-                rooted.add(name)
-            stats.rows.append(SignalRow(topo_index, name, "const", 0, 0,
-                                        tracker.live if tracker else None, 0))
-            topo_index += 1
+        for i, signal in enumerate(circuit.inputs):
+            define(signal, mgr.var(i))
+            rows.append(SignalRow(len(rows), signal, "input", 1, 0,
+                                  tracker.live if tracker else None, 0))
+        for signal, bit in circuit.constants:
+            define(signal, ONE if bit else ZERO)
+            rows.append(SignalRow(len(rows), signal, "const", 0, 0,
+                                  tracker.live if tracker else None, 0))
 
         stats.created_baseline = mgr.created_count
         peak = tracker.live if tracker else None
         for gate in topological_order(circuit):
-            current_signal = gate.output
+            signal = gate.output
             ins = [bdds[s] for s in gate.inputs]
             if gate.kind == "mux":
                 sel, else_b, then_b = ins
                 result = mgr.ite(sel, then_b, else_b)
             else:
                 result = mgr.apply(gate.kind, ins)
-            bdds[gate.output] = result
+            define(signal, result)
             if tracker:
-                if remaining.get(gate.output, 0) > 0 or gate.output in po_set:
-                    tracker.add_root(result)
-                    rooted.add(gate.output)
                 for s in gate.inputs:
-                    remaining[s] -= 1
-                    if (remaining[s] == 0 and s not in pi_set
-                            and s not in po_set and s in rooted):
+                    uses[s] -= 1
+                    if not uses[s]:
                         tracker.remove_root(bdds[s])
-                        rooted.discard(s)
                 if tracker.live > peak:
                     peak = tracker.live
-            stats.rows.append(SignalRow(
-                topo_index, gate.output, gate.kind, mgr.size(result),
+            rows.append(SignalRow(
+                len(rows), signal, gate.kind, mgr.size(result),
                 mgr.created_count - stats.created_baseline,
                 tracker.live if tracker else None, mgr.ite_calls))
-            topo_index += 1
     except CapacityError:
         stats.completed = False
-        stats.failing_signal = current_signal
-        stats.peak_live = peak
-        stats.ite_entries_total = mgr.ite_calls
-        stats.created_total = max(0, mgr.created_count - stats.created_baseline)
-        raise SimulationCapacityError(stats, bdds, mgr) from None
-
+        stats.failing_signal = signal
     stats.peak_live = peak
     stats.ite_entries_total = mgr.ite_calls
     stats.created_total = mgr.created_count - stats.created_baseline
+    if not stats.completed:
+        raise SimulationCapacityError(stats, bdds, mgr)
     return SimResult(bdds, stats, mgr)
 
 
@@ -308,14 +293,12 @@ def top_variable_probe(mgr: Manager, g: int, index: int, op: str,
     """
     if op not in ("and", "or", "nand", "nor"):
         raise ValueError(f"probe supports and/or/nand/nor, not {op!r}")
-    lvl = mgr.level_of_var(index)
-    sup = mgr.support(g)
-    if index in sup:
+    if mgr.depends_on(g, index):
         raise ValueError(f"variable {index} occurs in the operand's support")
-    for j in sup:
-        if mgr.level_of_var(j) <= lvl:
-            raise ValueError(
-                f"variable {j} sits at or above the probe variable in the order")
+    if mgr.level(g) < mgr.level_of_var(index):
+        # the root tests the topmost variable of the support
+        raise ValueError(f"variable {mgr.var_index(g)} sits above the "
+                         "probe variable in the order")
     lit = mgr.var(index)
     if not positive:
         lit = mgr.inv(lit)
@@ -329,15 +312,18 @@ def top_variable_probe(mgr: Manager, g: int, index: int, op: str,
 
 # -- exports ---------------------------------------------------------------
 
-CSV_HEADER = "topo_index,signal,gate_kind,signal_size,created_cum,live_nodes,ite_entries_cum"
+# CSV columns and JSON keys of a signal row, in SignalRow's field order
+SIGNAL_KEYS = ("topo_index", "signal", "gate_kind", "signal_size",
+               "created_cum", "live_nodes", "ite_entries_cum")
+CSV_HEADER = ",".join(SIGNAL_KEYS)
 
 
 def stats_to_csv(stats: SimStats) -> str:
+    """The signal rows as CSV under :data:`CSV_HEADER`; no live count is
+    an empty field."""
     lines = [CSV_HEADER]
     for r in stats.rows:
-        live = "" if r.live_nodes is None else r.live_nodes
-        lines.append(f"{r.topo_index},{r.signal},{r.kind},{r.size},"
-                     f"{r.created_cum},{live},{r.ite_entries_cum}")
+        lines.append(",".join(["" if v is None else str(v) for v in r]))
     return "\n".join(lines) + "\n"
 
 
@@ -352,16 +338,5 @@ def stats_to_json(stats: SimStats) -> dict:
         "created_total": stats.created_total,
         "completed": stats.completed,
         "failing_signal": stats.failing_signal,
-        "signals": [
-            {
-                "topo_index": r.topo_index,
-                "signal": r.signal,
-                "gate_kind": r.kind,
-                "signal_size": r.size,
-                "created_cum": r.created_cum,
-                "live_nodes": r.live_nodes,
-                "ite_entries_cum": r.ite_entries_cum,
-            }
-            for r in stats.rows
-        ],
+        "signals": [dict(zip(SIGNAL_KEYS, r)) for r in stats.rows],
     }

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from bddcheck import (BddCheckError, Manager, ONE, circuit_truth_table,
-                      copy_bdd, expand_to_circuit, roundtrip_verify)
+from bddcheck import (BddCheckError, Circuit, Gate, Manager, ONE, bddcircuit,
+                      circuit_truth_table, copy_bdd, expand_mux,
+                      expand_to_circuit, roundtrip_verify)
 from bddcheck.generators import random_bdd
 from bddcheck.oracle import bdd_function_table
 
@@ -145,6 +146,29 @@ class TestRoundtrip:
             f = random_bdd(m, seed=seed)
             report = roundtrip_verify(m, [f], "gates")
             assert report.ok, report.violations
+
+    def test_data_input_on_the_select_variable_is_reported(self, monkeypatch):
+        # x0 on top, x1 below; the expansion is made to select the lower
+        # node on x0, so the top node's then-input depends on its select
+        m = Manager(2)
+        f = m.apply("and", [m.var(0), m.var(1)])
+        lower = m.high(f)
+        expand = bddcircuit.expand_to_circuit
+
+        def select_on_x0_below(mgr, roots, mode, var_names):
+            c, nmap = expand(mgr, roots, "mux", var_names)
+            gates = tuple(Gate("mux", g.output, ("x0", *g.inputs[1:]))
+                          if g.output == nmap.signals[lower] else g
+                          for g in c.gates)
+            return expand_mux(Circuit(c.inputs, c.outputs, gates,
+                                      c.constants)), nmap
+
+        monkeypatch.setattr(bddcircuit, "expand_to_circuit",
+                            select_on_x0_below)
+        report = roundtrip_verify(m, [f], "gates")
+        checks = {(v.node, v.check) for v in report.violations}
+        assert (f, "then_independent") in checks
+        assert (f, "node_identity") in checks
 
     def test_report_json_shape(self):
         m, f = or_bdd()

@@ -225,6 +225,17 @@ class TestUsage:
     def test_missing_file(self, capsys):
         assert main(["simulate", "/nonexistent/zz.net"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{net}", "{net}", "--format", "csv"],
+        ["expand-bdd", "{net}", "--format", "csv"],
+        ["gen-tree", "6", "--order", "declared"],
+        ["gen-tree", "6", "--capacity", "10"],
+        ["gen-tree", "6", "--format", "json"],
+    ])
+    def test_option_the_command_does_not_use(self, argv, files):
+        net = files("and.net", AND_NET)
+        assert main([a.format(net=net) for a in argv]) == 3
+
 
 def _provenance(command, config_hash, mode=None):
     return {"tool": "bddcheck", "version": "0.1.0", "seed": None,

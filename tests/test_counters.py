@@ -11,10 +11,12 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from bddcheck import Circuit, Gate, check_equivalence, simulate
 from bddcheck.cli import main as cli_main
 from bddcheck.generators import (array_multiplier, demorgan_rewrite,
-                                 random_tree_circuit)
+                                 mutate_gate, random_tree_circuit)
 from bddcheck.netlist import serialize
 
 SEED = 1
@@ -111,3 +113,59 @@ def test_mux_roundtrip_counters(tmp_path, capsys):
                           "2787881ec7a82b93c2822ccc6c73458a",
         "report_sha256": "99c73519a02351d9aa7ef8517712bdd1"
                          "24c2ed15aa1901ca8ecc2a85e5547617"}
+
+
+# SHA-256 of the stdout of each CLI report, byte for byte, on small seeded
+# inputs; the JSON tests in ``test_cli.py`` pin only the parsed documents.
+REPORTS = {
+    "simulate-json-poly": (
+      ["simulate", "tree.net", "--poly-degree", "1"], 0,
+      "adac08a00e299df9f6478ecf0be473db"
+      "7bb8646d2a656a2abdc9bbde6e506be9"),
+    "simulate-csv": (
+      ["simulate", "tree.net", "--format", "csv"], 0,
+      "d218dbb603d0399719cabbff19f378d0"
+      "05c81349aa4d0037033118e608bef698"),
+    "simulate-text": (
+      ["simulate", "tree.net", "--format", "text",
+       "--poly-degree", "1", "--poly-coeff", "0.5"], 0,
+      "7122e9b35a3d1ab65e93f9d39dbec62a"
+      "99a2120a2dbb67df4a4c1660ea167e76"),
+    "verify-json-equivalent": (
+      ["verify", "mult.net", "rewrite.net"], 0,
+      "41fb6d494dc546c50a6d978a389766d7"
+      "8d7a0833bbad9309d7dd385341dbae3a"),
+    "verify-text-equivalent": (
+      ["verify", "mult.net", "rewrite.net", "--format", "text"], 0,
+      "2611cbbe594a140eadf28659e420ff4b"
+      "363238cde2f40d788c3ce1372df0acce"),
+    "verify-json-not-equivalent": (
+      ["verify", "mult.net", "mutant.net"], 1,
+      "a373011b48a9809450c08ab3e9de331d"
+      "4538998dadffcef835cecbc90e5c1450"),
+    "verify-text-not-equivalent": (
+      ["verify", "mult.net", "mutant.net", "--format", "text"], 1,
+      "1f4e741b255fd6dc3eb2d3079a098eb2"
+      "4ba1f90ffa23095915f0754133595707"),
+    "expand-bdd-text": (
+      ["expand-bdd", "mult.net", "--mode", "gates", "--format",
+       "text", "--out", "expanded.net"], 0,
+      "b319c8ba7f039de4c6daa487d2a51bf7"
+      "1f02adb3ea92267ff095adeede5e9251"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_bytes(name, tmp_path, monkeypatch, capsys):
+    argv, code, pinned = REPORTS[name]
+    mult = array_multiplier(4)
+    for fname, circuit in (("tree.net", random_tree_circuit(40, seed=SEED)),
+                           ("mult.net", mult),
+                           ("rewrite.net", demorgan_rewrite(mult, SEED)),
+                           ("mutant.net", mutate_gate(mult, seed=SEED))):
+        (tmp_path / fname).write_text(serialize(circuit))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == pinned

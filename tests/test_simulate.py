@@ -6,8 +6,9 @@ import pytest
 
 from bddcheck import (Circuit, Gate, Manager, PolyBoundConfig,
                       SimulationCapacityError, ZERO, ONE, check_poly_bound,
-                      circuit_truth_table, evaluate_circuit, simulate,
-                      stats_to_csv, stats_to_json, top_variable_probe)
+                      circuit_truth_table, evaluate_circuit, expand_mux,
+                      simulate, stats_to_csv, stats_to_json,
+                      top_variable_probe)
 from bddcheck.generators import random_dag_circuit, random_tree_circuit
 from bddcheck.oracle import bdd_function_table
 from bddcheck.simulate import CSV_HEADER
@@ -54,7 +55,7 @@ class TestSimulate:
         for seed in range(8):
             c = random_dag_circuit(6, 12, seed=seed, kinds=("and", "mux", "or"))
             native = simulate(c)
-            expanded = simulate(c, expand_muxes=True)
+            expanded = simulate(expand_mux(c))
             po = c.outputs[0]
             t_native = bdd_function_table(native.manager,
                                           native.signal_bdds[po])
@@ -152,6 +153,8 @@ class TestLiveness:
         res = simulate(two_and_two_or(), track_live=False)
         assert res.stats.peak_live is None
         assert all(r.live_nodes is None for r in res.stats.rows)
+        rows = stats_to_csv(res.stats).splitlines()[1:]
+        assert all(line.split(",")[5] == "" for line in rows)
 
 
 class TestCapacity:
