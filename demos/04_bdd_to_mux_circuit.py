@@ -16,7 +16,7 @@ f = m.apply("or", [m.var(0), m.var(1)])
 print("OR-function BDD, size", m.size(f))
 print(m.dump(f), end="")
 
-circuit, nmap = expand_to_circuit(m, [f], "mux", var_names=["x1", "x2"])
+circuit, _ = expand_to_circuit(m, [f], "mux", var_names=["x1", "x2"])
 print("\nMUX netlist (2 nodes -> 2 cells):")
 print(serialize(circuit), end="")
 

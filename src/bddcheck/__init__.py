@@ -6,8 +6,8 @@ one-to-one expansion of BDDs into multiplexer netlists.
 """
 
 from .bdd import DEFAULT_NODE_LIMIT, Manager, ONE, ZERO
-from .bddcircuit import (NodeSignalMap, RoundtripReport, copy_bdd,
-                         expand_to_circuit, roundtrip_verify)
+from .bddcircuit import (RoundtripReport, copy_bdd, expand_to_circuit,
+                         roundtrip_verify)
 from .circuit import (CV_TABLE, Circuit, Gate, GATE_KINDS,
                       decompose_multi_input, dfs_variable_order, expand_mux,
                       fanout_counts, is_tree, topological_order)
@@ -38,7 +38,6 @@ __all__ = [
     "GATE_KINDS",
     "InterfaceError",
     "Manager",
-    "NodeSignalMap",
     "NOT_EQUIVALENT",
     "ONE",
     "ParseError",

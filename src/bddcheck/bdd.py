@@ -46,10 +46,11 @@ APPLY_OPS = frozenset(("and", "or", "nand", "nor", "xor", "inv", "buf"))
 class Manager:
     """One BDD universe over a fixed number of ordered variables.
 
-    ``order`` maps external variable index to level: ``order[i]`` is the
-    level at which variable ``i`` tests, level 0 being the topmost.  The
-    default is the identity.  All operations on one manager are
-    sequential (single owner); distinct managers are fully independent.
+    ``order`` lists the variable indices from the top level down:
+    ``order[0]`` tests at level 0, the topmost, and ``var_order()``
+    returns the same list.  The default is the identity.  All
+    operations on one manager are sequential (single owner); distinct
+    managers are fully independent.
 
     Counters:
 
@@ -71,14 +72,13 @@ class Manager:
             order = range(var_count)
         order = list(order)
         if sorted(order) != list(range(var_count)):
-            raise ValueError(
-                f"order {order!r} is not a permutation of 0..{var_count - 1}")
+            raise ValueError(f"order is not a permutation of 0..{var_count - 1}")
         self.var_count = var_count
         self.node_limit = node_limit
-        self._level_of = order                       # variable index -> level
-        self._var_at = [0] * var_count               # level -> variable index
-        for i, lvl in enumerate(order):
-            self._var_at[lvl] = i
+        self._var_at = order                         # level -> variable index
+        self._level_of = [0] * var_count             # variable index -> level
+        for lvl, i in enumerate(order):
+            self._level_of[i] = lvl
         # terminals sit at a sentinel level below every variable
         t = var_count
         self._level = [t, t]
@@ -97,10 +97,6 @@ class Manager:
     def _check_ref(self, f):
         if not (isinstance(f, int) and 0 <= f < len(self._level)):
             raise ValueError(f"invalid node reference {f!r}")
-
-    def is_terminal(self, f) -> bool:
-        self._check_ref(f)
-        return f <= 1
 
     def level(self, f) -> int:
         """Level of the node; terminals report ``var_count``."""
@@ -490,9 +486,6 @@ class Manager:
 
     def unique_table_size(self) -> int:
         return len(self._unique)
-
-    def __len__(self):
-        return self.created_count
 
     def __repr__(self):
         return (f"<Manager vars={self.var_count} nodes={self.created_count} "

@@ -1,6 +1,7 @@
 """One-to-one expansion of a BDD into a multiplexer netlist.
 
-Each internal node becomes one MUX whose select is the node's variable,
+Variable ``i`` of the manager is input ``i`` of the circuit.  Each
+internal node becomes one MUX whose select is the node's variable,
 whose else-input is the low child's signal and whose then-input is the
 high child's signal; terminals become constant signals.  Shared nodes
 become shared signals, so the generated circuit is a DAG with fanout,
@@ -8,9 +9,11 @@ not a tree.  In ``gates`` mode every MUX is further expanded into the
 standard inverter/AND/AND/OR realization by ``circuit.expand_mux``.
 
 ``roundtrip_verify`` symbolically simulates the generated circuit under
-the original variable order and checks, node for node, that the
-simulation reproduces the original BDD, plus the size and independence
-properties of the internal MUX signals in ``gates`` mode.
+the manager's own order, ``mgr.var_order()``, so a simulated node tests
+the same variable index at the same level as the node it came from.  It
+checks, node for node, that the simulation reproduces the original BDD,
+plus the size and independence properties of the internal MUX signals
+in ``gates`` mode.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
-from .bdd import DEFAULT_NODE_LIMIT, Manager
+from .bdd import DEFAULT_NODE_LIMIT, Manager, ONE, ZERO
 from .circuit import Circuit, Gate, expand_mux, fresh_name
 from .errors import BddCheckError
 from .simulate import SimStats, simulate
@@ -26,35 +29,16 @@ from .simulate import SimStats, simulate
 MODES = ("mux", "gates")
 
 
-@dataclass
-class NodeSignalMap:
-    """Injective map from reachable internal nodes to signal names."""
-
-    signals: dict[int, str]
-    var_signals: dict[int, str]          # variable index -> input name
-    const0: str | None = None
-    const1: str | None = None
-
-    def signal_for(self, ref: int) -> str:
-        if ref == 0:
-            if self.const0 is None:
-                raise KeyError("constant-0 signal was not emitted")
-            return self.const0
-        if ref == 1:
-            if self.const1 is None:
-                raise KeyError("constant-1 signal was not emitted")
-            return self.const1
-        return self.signals[ref]
-
-
 def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
                       var_names: Mapping[int, str] | Sequence[str] | None = None,
-                      ) -> tuple[Circuit, NodeSignalMap]:
+                      ) -> tuple[Circuit, dict[int, str]]:
     """Map the BDDs under ``roots`` into a circuit, one MUX per node.
 
-    Every manager variable becomes an input (named ``x{i}`` unless
-    ``var_names`` provides a name); a support variable without a name is
-    a configuration error.  Output ``j`` is the signal of ``roots[j]``.
+    Variable ``i`` is input ``i`` of the circuit, named ``x{i}`` or
+    ``var_names[i]``; a variable without a name is a configuration
+    error.  Output ``j`` is the signal of ``roots[j]``.  Also returns a
+    dict from every handle the circuit wires (the internal nodes, in
+    ascending order, after the terminals it uses) to its signal name.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -63,57 +47,38 @@ def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
         raise ValueError("need at least one root")
     nodes = mgr.reachable(roots)
 
-    support = set()
-    for u in nodes:
-        support.add(mgr.var_index(u))
-    names = {}
+    inputs = []
     for i in range(mgr.var_count):
-        if var_names is None:
-            names[i] = f"x{i}"
-        else:
-            try:
-                names[i] = var_names[i]
-            except (KeyError, IndexError):
-                if i in support:
-                    raise BddCheckError(
-                        f"no input name configured for variable {i}") from None
-                names[i] = None
-    inputs = tuple(names[i] for i in range(mgr.var_count) if names[i] is not None)
+        try:
+            inputs.append(f"x{i}" if var_names is None else var_names[i])
+        except (KeyError, IndexError):
+            raise BddCheckError(
+                f"no input name configured for variable {i}") from None
     taken = set(inputs)
     if len(taken) != len(inputs):
         raise BddCheckError("duplicate input names")
 
-    need0 = any(r == 0 for r in roots)
-    need1 = any(r == 1 for r in roots)
+    used = set(roots)
     for u in nodes:
-        if mgr.high(u) <= 1:
-            need1 = need1 or mgr.high(u) == 1
-            need0 = need0 or mgr.high(u) == 0
-        if mgr.low(u) <= 1:
-            need1 = need1 or mgr.low(u) == 1
-            need0 = need0 or mgr.low(u) == 0
-    const0 = fresh_name("const0", taken) if need0 else None
-    const1 = fresh_name("const1", taken) if need1 else None
-    constants = []
-    if const0 is not None:
-        constants.append((const0, 0))
-    if const1 is not None:
-        constants.append((const1, 1))
-
-    nmap = NodeSignalMap({}, {i: n for i, n in names.items() if n is not None},
-                         const0, const1)
+        used.add(mgr.low(u))
+        used.add(mgr.high(u))
+    signals = {}
+    for t in (ZERO, ONE):
+        if t in used:
+            signals[t] = fresh_name(f"const{t}", taken)
     for u in nodes:
-        nmap.signals[u] = fresh_name(f"n{u}", taken)
+        signals[u] = fresh_name(f"n{u}", taken)
 
-    gates = tuple(Gate("mux", nmap.signals[u],
-                       (names[mgr.var_index(u)], nmap.signal_for(mgr.low(u)),
-                        nmap.signal_for(mgr.high(u))))
+    gates = tuple(Gate("mux", signals[u],
+                       (inputs[mgr.var_index(u)], signals[mgr.low(u)],
+                        signals[mgr.high(u)]))
                   for u in nodes)        # ascending handles: children first
-    outputs = tuple(nmap.signal_for(r) for r in roots)
-    circuit = Circuit(inputs, outputs, gates, tuple(constants))
+    outputs = tuple(signals[r] for r in roots)
+    constants = tuple((signals[t], t) for t in (ZERO, ONE) if t in signals)
+    circuit = Circuit(tuple(inputs), outputs, gates, constants)
     if mode == "gates":
         circuit = expand_mux(circuit)
-    return circuit, nmap
+    return circuit, signals
 
 
 def copy_bdd(src: Manager, ref: int, dst: Manager) -> int:
@@ -162,14 +127,12 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
     node must rebuild to the canonical copy of that node.  In ``gates``
     mode the inverted select must have size 1, each AND output size at
     most its data child's size plus one, and the data-input signals
-    must be independent of the select variable.
+    must be independent of the select variable.  The simulation does
+    not track liveness, so ``report.stats`` carries no live counts.
     """
-    circuit, nmap = expand_to_circuit(mgr, roots, mode, var_names)
-    # simulate under the original variable order
-    input_index = {name: i for i, name in enumerate(circuit.inputs)}
-    order = [input_index[nmap.var_signals[v]] for v in mgr.var_order()
-             if v in nmap.var_signals]
-    res = simulate(circuit, order, node_limit=node_limit)
+    circuit, signals = expand_to_circuit(mgr, roots, mode, var_names)
+    res = simulate(circuit, mgr.var_order(), node_limit=node_limit,
+                   track_live=False)
     sim = res.manager
     sizes = res.stats.per_signal_size
     producers = circuit.producers()
@@ -177,9 +140,11 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
     iso = {0: 0, 1: 1}
     violations = []
     max_size = 0
-    for u, sig in nmap.signals.items():      # ascending handles
-        sel_var = input_index[nmap.var_signals[mgr.var_index(u)]]
-        iso[u] = sim.make(sel_var, iso[mgr.high(u)], iso[mgr.low(u)])
+    for u, sig in signals.items():           # ascending handles
+        if u in iso:
+            continue                         # a terminal
+        var = mgr.var_index(u)
+        iso[u] = sim.make(var, iso[mgr.high(u)], iso[mgr.low(u)])
         got = res.signal_bdds[sig]
         sz = sizes[sig]
         max_size = max(max_size, sz)
@@ -206,12 +171,11 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
                     u, ns_sig, "inverter_size", f"size {nsz}, expected 1"))
             for check, child in (("else_independent", mgr.low(u)),
                                  ("then_independent", mgr.high(u))):
-                data_sig = nmap.signal_for(child)
-                if sim.depends_on(res.signal_bdds[data_sig], sel_var):
+                data_sig = signals[child]
+                if sim.depends_on(res.signal_bdds[data_sig], var):
                     violations.append(RoundtripViolation(
                         u, data_sig, check,
-                        f"data input depends on select variable {sel_var}"))
-    return RoundtripReport(not violations, mode,
-                           len(nmap.signals), max_size,
+                        f"data input depends on select variable {var}"))
+    return RoundtripReport(not violations, mode, len(iso) - 2, max_size,
                            res.stats.created_total, violations, res.stats,
                            circuit)

@@ -189,7 +189,8 @@ def _cmd_expand_bdd(args) -> int:
     circuit = _load(args.circuit)
     order = _resolve_order(args.order, circuit)
     try:
-        res = simulate(circuit, order, node_limit=args.capacity)
+        res = simulate(circuit, order, node_limit=args.capacity,
+                       track_live=False)
     except SimulationCapacityError as exc:
         sys.stderr.write(
             f"capacity abort while simulating '{exc.stats.failing_signal}'\n")

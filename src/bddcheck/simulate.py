@@ -11,7 +11,7 @@ A signal is *live* from its definition until its last consumer gate
 has been simulated; inputs and outputs stay live to the end of the run.
 ``live_nodes`` is the number of internal nodes reachable from the live
 signals, tracked incrementally; ``peak_live`` is its maximum over the
-run.
+rows, so an aborted run reports the peak of the rows it recorded.
 """
 
 from __future__ import annotations
@@ -128,14 +128,6 @@ class _LiveTracker:
                 stack.append(low[u])
 
 
-def order_to_levels(order: list[int]) -> list[int]:
-    """Invert an order listing (level -> variable) into variable -> level."""
-    levels = [0] * len(order)
-    for lvl, idx in enumerate(order):
-        levels[idx] = lvl
-    return levels
-
-
 def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
              track_live: bool = True) -> SimResult:
     """Build BDDs for every signal of the circuit.
@@ -150,9 +142,7 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     """
     n = len(circuit.inputs)
     order = list(order) if order is not None else dfs_variable_order(circuit)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the input indices")
-    mgr = Manager(n, order_to_levels(order), node_limit=node_limit)
+    mgr = Manager(n, order, node_limit=node_limit)      # checks the order
 
     bdds: dict[str, int] = {}
     stats = SimStats(order_used=tuple(order), input_count=n,
@@ -173,7 +163,6 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
             tracker.add_root(ref)
 
     signal = None
-    peak = 0 if tracker else None
     try:
         for i, signal in enumerate(circuit.inputs):
             define(signal, mgr.var(i))
@@ -185,7 +174,6 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
                                   tracker.live if tracker else None, 0))
 
         stats.created_baseline = mgr.created_count
-        peak = tracker.live if tracker else None
         for gate in topological_order(circuit):
             signal = gate.output
             ins = [bdds[s] for s in gate.inputs]
@@ -200,8 +188,6 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
                     uses[s] -= 1
                     if not uses[s]:
                         tracker.remove_root(bdds[s])
-                if tracker.live > peak:
-                    peak = tracker.live
             rows.append(SignalRow(
                 len(rows), signal, gate.kind, mgr.size(result),
                 mgr.created_count - stats.created_baseline,
@@ -209,7 +195,8 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     except CapacityError:
         stats.completed = False
         stats.failing_signal = signal
-    stats.peak_live = peak
+    stats.peak_live = (max((r.live_nodes for r in rows), default=0)
+                       if tracker else None)
     stats.ite_entries_total = mgr.ite_calls
     stats.created_total = mgr.created_count - stats.created_baseline
     if not stats.completed:

@@ -20,10 +20,10 @@ def or_bdd():
 class TestExpand:
     def test_or_function_two_mux_cells(self):
         m, f = or_bdd()
-        circuit, nmap = expand_to_circuit(m, [f], "mux")
+        circuit, signals = expand_to_circuit(m, [f], "mux")
         assert sum(1 for g in circuit.gates if g.kind == "mux") == 2
         assert len(circuit.gates) == 2
-        assert len(nmap.signals) == 2
+        assert sum(1 for u in signals if u > 1) == 2
         t = circuit_truth_table(circuit)
         assert t.columns[0] == 0b1110
 
@@ -41,27 +41,27 @@ class TestExpand:
 
     def test_terminal_root_becomes_constant_output(self):
         m = Manager(2)
-        circuit, nmap = expand_to_circuit(m, [ONE], "mux")
-        assert circuit.outputs == (nmap.const1,)
+        circuit, signals = expand_to_circuit(m, [ONE], "mux")
+        assert circuit.outputs == (signals[ONE],)
         assert not circuit.gates
 
     def test_mux_count_equals_bdd_size(self):
         for seed in range(15):
             m = Manager(8)
             f = random_bdd(m, seed=seed)
-            circuit, nmap = expand_to_circuit(m, [f], "mux")
+            circuit, signals = expand_to_circuit(m, [f], "mux")
             assert len(circuit.gates) == m.size(f)
             # independent traversal: reachable set has the same cardinality
-            assert len(nmap.signals) == len(m.reachable(f))
+            assert sum(1 for u in signals if u > 1) == len(m.reachable(f))
 
     def test_shared_nodes_become_shared_signals(self):
         m = Manager(3)
         # two roots sharing structure
         f = m.apply("and", [m.var(0), m.var(2)])
         g = m.apply("or", [m.var(1), f])
-        circuit, nmap = expand_to_circuit(m, [f, g], "mux")
+        circuit, signals = expand_to_circuit(m, [f, g], "mux")
         assert len(circuit.gates) == len(m.reachable([f, g]))
-        assert circuit.outputs == (nmap.signals[f], nmap.signals[g])
+        assert circuit.outputs == (signals[f], signals[g])
 
     def test_function_preserved_multi_root(self):
         for seed in range(10):
@@ -77,6 +77,14 @@ class TestExpand:
         f = m.apply("and", [m.var(0), m.var(1)])
         with pytest.raises(BddCheckError, match="no input name"):
             expand_to_circuit(m, [f], "mux", var_names={0: "a"})
+
+    def test_variable_outside_the_support_needs_a_name_too(self):
+        # variable i is input i of the circuit, whether f tests it or not
+        m = Manager(2)
+        with pytest.raises(BddCheckError, match="no input name"):
+            expand_to_circuit(m, [m.var(0)], "mux", var_names={0: "a"})
+        circuit, _ = expand_to_circuit(m, [m.var(0)], "mux")
+        assert circuit.inputs == ("x0", "x1")
 
     def test_explicit_names_used(self):
         m, f = or_bdd()
@@ -156,12 +164,12 @@ class TestRoundtrip:
         expand = bddcircuit.expand_to_circuit
 
         def select_on_x0_below(mgr, roots, mode, var_names):
-            c, nmap = expand(mgr, roots, "mux", var_names)
+            c, signals = expand(mgr, roots, "mux", var_names)
             gates = tuple(Gate("mux", g.output, ("x0", *g.inputs[1:]))
-                          if g.output == nmap.signals[lower] else g
+                          if g.output == signals[lower] else g
                           for g in c.gates)
             return expand_mux(Circuit(c.inputs, c.outputs, gates,
-                                      c.constants)), nmap
+                                      c.constants)), signals
 
         monkeypatch.setattr(bddcircuit, "expand_to_circuit",
                             select_on_x0_below)

@@ -135,6 +135,14 @@ class TestSimulate:
         assert len(text.strip().split("\n")) > 1
         assert "capacity abort" in capsys.readouterr().err
 
+    def test_abort_during_the_inputs_reports_peak_live(self, files, capsys):
+        net = files("mult5.net", serialize(array_multiplier(5)))
+        assert main(["simulate", net, "--capacity", "3",
+                     "--format", "json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert [s["live_nodes"] for s in doc["signals"]] == [1, 2, 3]
+        assert doc["peak_live"] == 3
+
     def test_order_file(self, files, tmp_path, capsys):
         net = files("t.net", TREE_NET)
         order = tmp_path / "order.txt"

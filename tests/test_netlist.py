@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bddcheck import Circuit, Gate, ParseError, parse, serialize
+from bddcheck import (Circuit, Gate, GATE_KINDS, ParseError, parse,
+                      serialize)
 from bddcheck.generators import random_dag_circuit, random_tree_circuit
 
 MINIMAL_AND = """\
@@ -162,3 +164,58 @@ class TestRoundTrip:
                 sorted(g.output for g in c.gates)
             assert {g.output: (g.kind, g.inputs) for g in c2.gates} == \
                 {g.output: (g.kind, g.inputs) for g in c.gates}
+
+
+# -- fuzz: documents from netlist tokens and random text ------------------
+
+INPUTS = ("a", "b", "c")
+NAMES = INPUTS + ("t", "o")
+WORDS = NAMES + GATE_KINDS + ("0", "1", "#", "1x", "a-b")
+DIRECTIVES = (".inputs", ".outputs", ".const", ".gate", ".end", "#", "",
+              ".gates")
+ARITY = {"inv": 1, "buf": 1, "mux": 3}          # the others take 2
+word = st.one_of(st.sampled_from(WORDS), st.text(max_size=4))
+random_line = st.builds(
+    lambda d, ws, sep, cr: sep.join([d, *ws]) + cr,
+    st.one_of(st.sampled_from(DIRECTIVES), st.text(max_size=6)),
+    st.lists(word, max_size=4),
+    st.sampled_from((" ", "  ", "\t")),
+    st.sampled_from(("", "\r")))
+gate_line = st.sampled_from(GATE_KINDS).flatmap(lambda kind: st.builds(
+    lambda out, ins: " ".join((".gate", kind, out, *ins)),
+    st.sampled_from(("t", "o")),
+    st.lists(st.sampled_from(NAMES), min_size=ARITY.get(kind, 2),
+             max_size=ARITY.get(kind, 2))))
+
+
+@st.composite
+def framed(draw):
+    """A well-formed frame around gate lines and at most one random line,
+    so that documents which parse are common enough to test."""
+    ins = draw(st.permutations(INPUTS))
+    body = draw(st.lists(gate_line, max_size=3,
+                         unique_by=lambda line: line.split()[2]))
+    defined = [*ins, *(line.split()[2] for line in body)]
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), draw(random_line))
+    outs = draw(st.lists(st.sampled_from(defined), min_size=1, max_size=2))
+    return "\n".join([".inputs " + " ".join(ins), *body,
+                      ".outputs " + " ".join(outs), ".end"])
+
+
+document = st.one_of(
+    framed(),
+    st.lists(st.one_of(random_line, gate_line), max_size=8).map("\n".join),
+    st.text(max_size=40))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(document)
+def test_fuzzed_documents_fail_on_a_line_or_round_trip(text):
+    try:
+        c = parse(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= text.count("\n") + 1
+        return
+    once = serialize(c)
+    assert serialize(parse(once)) == once

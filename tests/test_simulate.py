@@ -9,7 +9,8 @@ from bddcheck import (Circuit, Gate, Manager, PolyBoundConfig,
                       circuit_truth_table, evaluate_circuit, expand_mux,
                       simulate, stats_to_csv, stats_to_json,
                       top_variable_probe)
-from bddcheck.generators import random_dag_circuit, random_tree_circuit
+from bddcheck.generators import (array_multiplier, random_dag_circuit,
+                                 random_tree_circuit)
 from bddcheck.oracle import bdd_function_table
 from bddcheck.simulate import CSV_HEADER
 
@@ -182,6 +183,14 @@ class TestCapacity:
             assert exc.stats.failing_signal not in signals
         else:
             pytest.fail("expected a capacity abort")
+
+    def test_abort_during_the_inputs_reports_the_peak_of_its_rows(self):
+        # the third projection reaches the limit of 3; the fourth aborts
+        with pytest.raises(SimulationCapacityError) as err:
+            simulate(array_multiplier(5), node_limit=3)
+        stats = err.value.stats
+        assert [r.live_nodes for r in stats.rows] == [1, 2, 3]
+        assert stats.peak_live == 3
 
 
 class TestPolyBound:
