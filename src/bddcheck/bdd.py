@@ -24,8 +24,15 @@ called from outside also stores the reverse pair, so
 ``clear_computed_cache`` forgets them with everything else.  The
 rewritten triple has the same canonical result, so normalisation
 changes neither handles nor ``created_count``; it only saves ``ite``
-entries.  Node sizes are memoised by handle, since a node never
-changes once made.
+entries.
+
+Node sizes are memoised by handle, since a node never changes once
+made.  For the same reason the node set of one walk stays valid: the
+manager keeps the root and the internal nodes of its last size walk,
+and a walk from a node that has that root as a child starts from the
+kept set, so it visits only the nodes the child does not reach.  With
+GC or reordering the kept set could name freed or rebuilt nodes; here
+it cannot.
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ class Manager:
     - ``ite_calls``: ``ite`` entries that were answered neither by a
       terminal case, nor by the normalisation at entry, nor by the
       computed table, i.e. entries that actually recursed.
+    - ``size_walked``: nodes that ``size`` walks added to their node
+      sets, counted once per walk (see ``size``).
 
     ``ite`` normalises standard triples at entry, with the negations
     that the computed table holds; ``size`` remembers the size of every
@@ -87,8 +96,11 @@ class Manager:
         self._unique = {}                            # (level, high, low) -> ref
         self._cache = {}                             # (f, g, h) -> ref
         self._sizes = {}                             # ref -> size(ref)
+        self._walked = ZERO                          # root of the last size walk
+        self._reach = set()                          # its internal nodes
         self.created_count = 0
         self.ite_calls = 0
+        self.size_walked = 0
         # ite/cofactor recurse one frame per level
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * var_count + 2048))
 
@@ -375,13 +387,22 @@ class Manager:
             node = self._high[node] if bit else self._low[node]
         return node
 
-    def _nodes(self, roots: Iterable[int]) -> set[int]:
-        """Internal nodes reachable from ``roots``."""
+    def _nodes(self, roots: Iterable[int],
+               seen: set[int] | None = None) -> set[int]:
+        """Internal nodes reachable from ``roots``.
+
+        ``seen``, if given, is a set of internal nodes closed under
+        successors.  The walk never enters it, adds the nodes it finds
+        to it in place and returns it.
+        """
         high = self._high
         low = self._low
-        seen = {ZERO, ONE}
-        seen.update(roots)
-        stack = [u for u in seen if u > 1]
+        if seen is None:
+            seen = set()
+        seen.add(ZERO)
+        seen.add(ONE)
+        stack = [u for u in set(roots) if u not in seen]
+        seen.update(stack)
         add = seen.add
         pop = stack.pop
         push = stack.append
@@ -414,6 +435,18 @@ class Manager:
         a terminal child has one node more than its other child, so a
         run of such nodes is counted without a walk; only a node below
         the run with two internal children is walked.
+
+        The manager keeps the root of its last walk and that root's
+        internal nodes.  When a walked node has that root as a child,
+        the walk starts from the kept set and adds only the nodes the
+        child does not reach; otherwise it starts from nothing and its
+        result is kept instead.  A node's reachable set never changes,
+        since nodes are neither freed nor reordered, so the kept set
+        stays exact, and it is closed under successors, so the walk
+        never enters it.  On a chain whose every signal has the
+        previous one as a child, the walks add up to the nodes made
+        rather than to the sum of the sizes.  ``size_walked`` counts
+        the nodes the walks added.
         """
         self._check_ref(f)
         sizes = self._sizes
@@ -431,7 +464,14 @@ class Manager:
                 hu = high[u]
                 lu = low[u]
                 if hu > 1 and lu > 1:
-                    n += len(self._nodes((u,)))
+                    if self._walked not in (hu, lu):
+                        self._reach = set()
+                    before = len(self._reach)
+                    self._nodes((u,), self._reach)
+                    self._walked = u
+                    m = len(self._reach)
+                    self.size_walked += m - before
+                    n += m
                     break
                 n += 1
                 u = lu if hu <= 1 else hu

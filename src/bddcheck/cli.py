@@ -133,6 +133,13 @@ def _cmd_simulate(args) -> int:
     circuit = _load(args.circuit)
     code = EXIT_OK
     order = _resolve_order(args.order, circuit)
+    cfg = None
+    if args.poly_degree is not None:
+        try:
+            cfg = PolyBoundConfig(args.poly_degree, args.poly_coeff,
+                                  args.poly_gap)
+        except ValueError as exc:
+            raise BddCheckError(f"poly bound: {exc}") from None
     try:
         stats = simulate(circuit, order, node_limit=args.capacity).stats
     except SimulationCapacityError as exc:
@@ -141,8 +148,7 @@ def _cmd_simulate(args) -> int:
         sys.stderr.write(
             f"capacity abort while simulating '{stats.failing_signal}'\n")
     poly_report = None
-    if args.poly_degree is not None:
-        cfg = PolyBoundConfig(args.poly_degree, args.poly_coeff, args.poly_gap)
+    if cfg is not None:
         poly_report = check_poly_bound(stats, cfg, outputs=set(circuit.outputs))
     if args.format == "csv":
         _emit(stats_to_csv(stats), args.out)
@@ -176,7 +182,10 @@ def _poly_text(report) -> str:
 
 
 def _cmd_gen_tree(args) -> int:
-    circuit = random_tree_circuit(args.n, depth=args.depth, seed=args.seed)
+    try:
+        circuit = random_tree_circuit(args.n, depth=args.depth, seed=args.seed)
+    except ValueError as exc:
+        raise BddCheckError(f"gen-tree: {exc}") from None
     prov = _provenance(args, n=args.n, depth=args.depth)
     header = (f"# bddcheck {__version__} gen-tree n={args.n} "
               f"depth={args.depth} seed={args.seed} "

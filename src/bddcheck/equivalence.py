@@ -94,6 +94,12 @@ def build_miter(c1: Circuit, c2: Circuit) -> Circuit:
 def _satisfiable(mgr: Manager, f: int, fixed: list[int]) -> bool:
     """Whether ``f`` has a 1-path once variable ``i`` is set to ``fixed[i]``
     for every ``i < len(fixed)``; the other variables stay free."""
+    # read the arena directly, as the live tracker does: every handle
+    # met below ``f`` was made by the manager, so none needs a check
+    var_at = mgr._var_at
+    level = mgr._level
+    high = mgr._high
+    low = mgr._low
     n = len(fixed)
     seen = set()
     stack = [f]
@@ -104,12 +110,12 @@ def _satisfiable(mgr: Manager, f: int, fixed: list[int]) -> bool:
         if u == ZERO or u in seen:
             continue
         seen.add(u)
-        i = mgr.var_index(u)
+        i = var_at[level[u]]
         if i >= n:
-            stack.append(mgr.low(u))
-            stack.append(mgr.high(u))
+            stack.append(low[u])
+            stack.append(high[u])
         else:
-            stack.append(mgr.high(u) if fixed[i] else mgr.low(u))
+            stack.append(high[u] if fixed[i] else low[u])
     return False
 
 
@@ -119,7 +125,8 @@ def extract_counterexample(mgr: Manager, f: int) -> list[int]:
     Smallest by variable index, preferring 0; variables outside the
     support are fixed to 0.  Returns one bit per manager variable.
     Only walks the existing nodes, so it creates none and cannot hit
-    the node limit.
+    the node limit.  It is still one satisfiability walk per variable,
+    so its cost is the variable count times the size of ``f``.
     """
     if f == ZERO:
         raise BddCheckError("function is constant 0: no witness exists")

@@ -26,6 +26,8 @@ def random_tree_circuit(n: int, depth: int = 0, seed: int = 0,
     """
     if n < 2:
         raise ValueError("need at least 2 inputs")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     rng = random.Random(seed)
     inputs = tuple(f"x{i + 1}" for i in range(n))
     gates: list[Gate] = []

@@ -16,6 +16,7 @@ rows, so an aborted run reports the peak of the rows it recorded.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
@@ -219,6 +220,9 @@ class PolyBoundConfig:
             raise ValueError("degree must be >= 0")
         if self.gate_gap < 1:
             raise ValueError("gate_gap must be >= 1")
+        if not math.isfinite(self.coefficient):
+            # a NaN bound would pass every size
+            raise ValueError("coefficient must be finite")
 
 
 @dataclass

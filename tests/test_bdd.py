@@ -4,6 +4,7 @@ the measured cost bounds."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bddcheck import CapacityError, Manager, ONE, ZERO
 from bddcheck.oracle import bdd_function_table
@@ -540,6 +541,35 @@ class TestSizeMemo:
         assert m.size(f) == 12
         h = m.apply("xor", [f, g])
         assert m.size(h) == len(m.reachable(h))
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(st.data())
+    def test_walk_from_the_kept_set_matches_a_fresh_walk(self, data):
+        draw = data.draw
+        n = draw(st.integers(2, 7))
+        m = Manager(n, draw(st.permutations(range(n))))
+        pool = [m.var(i) for i in range(n)]
+        for _ in range(draw(st.integers(1, 40))):
+            op = draw(st.sampled_from(("and", "or", "xor", "nand", "nor")))
+            pool.append(m.apply(op, (draw(st.sampled_from(pool)),
+                                     draw(st.sampled_from(pool)))))
+        handles = list(range(2, m.created_count + 2))
+        asked = []
+        for _ in range(draw(st.integers(1, 30))):
+            u = draw(st.sampled_from(handles))
+            how = draw(st.sampled_from(("node", "child first", "again")))
+            if how == "child first":          # a parent right after its child
+                asked.append(draw(st.sampled_from((m.high(u), m.low(u)))))
+            elif how == "again" and asked:
+                u = asked[-1]
+            asked.append(u)
+        for u in asked:
+            walked = m.size_walked
+            assert m.size(u) == len(m.reachable(u))
+            assert m.size_walked >= walked
+            if m._walked > 1:                 # the kept set is exact
+                assert m._reach == set(m.reachable(m._walked))
 
     def test_depends_on_matches_support(self):
         rng = random.Random(21)

@@ -244,6 +244,22 @@ class TestUsage:
         net = files("and.net", AND_NET)
         assert main([a.format(net=net) for a in argv]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-tree", "1"],
+        ["gen-tree", "6", "--depth", "-1"],
+        ["simulate", "{net}", "--poly-degree", "1", "--poly-gap", "0"],
+        ["simulate", "{net}", "--poly-degree", "-1"],
+        ["simulate", "{net}", "--poly-degree", "1", "--poly-coeff", "nan"],
+    ])
+    def test_invalid_option_value_is_a_usage_error(self, argv, files, capsys):
+        # exit 1 would read as "not equivalent"
+        net = files("and.net", AND_NET)
+        assert main([a.format(net=net) for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 def _provenance(command, config_hash, mode=None):
     return {"tool": "bddcheck", "version": "0.1.0", "seed": None,

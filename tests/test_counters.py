@@ -5,6 +5,8 @@ work must leave ``created_count``, every signal size, the peak live count
 and every node handle as they are; ``ite`` entries may only go down.  The
 pinned values are those of the kernel before entry normalisation.  A
 change that moves one of them fails here, not only in the benchmark.
+The chain's ``size_walked`` is pinned as measured when size walks began
+to reuse the previous signal's nodes.
 """
 
 import hashlib
@@ -57,7 +59,7 @@ def xor_chain(n: int = 200, seed: int = SEED) -> dict:
         acc = f"t{k}"
     res = simulate(Circuit(inputs, (acc,), tuple(gates)), chain[::-1])
     assert res.stats.rows[-1].size == 2 * n - 1
-    return _sim_counters(res.stats)
+    return {**_sim_counters(res.stats), "size_walked": res.manager.size_walked}
 
 
 def tree_forest(trees: int = 2, n: int = 200, seed: int = SEED) -> dict:
@@ -97,7 +99,17 @@ def test_mult_verify_counters():
 
 def test_xor_chain_counters():
     _check(xor_chain(), {"created_total": 597, "ite_entries_total": 795,
-                         "peak_live": 598, "size_sum": 40199})
+                         "peak_live": 598, "size_sum": 40199,
+                         "size_walked": 399})
+
+
+def test_xor_chain_size_walks_are_linear():
+    # each signal's walk starts from the previous signal's nodes, so the
+    # walks add about 2n nodes while the sizes sum to about n*n
+    n = 2000
+    got = xor_chain(n)
+    assert got["size_sum"] == n * n + n - 1
+    assert got["size_walked"] <= 4 * n
 
 
 def test_tree_forest_counters():

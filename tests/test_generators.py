@@ -1,5 +1,7 @@
 """Seeded generators: determinism and the promised structural shapes."""
 
+import pytest
+
 from bddcheck import circuit_truth_table, fanout_counts, is_tree, serialize
 from bddcheck.generators import (array_multiplier, demorgan_rewrite,
                                  mutate_gate, random_dag_circuit,
@@ -28,6 +30,10 @@ class TestTreeGenerator:
     def test_depth_cap_flattens(self):
         c = random_tree_circuit(32, depth=2, seed=1)
         assert is_tree(c).ok
+
+    def test_negative_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            random_tree_circuit(8, depth=-1)
 
 
 class TestDagGenerator:

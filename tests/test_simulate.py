@@ -1,5 +1,6 @@
 """Symbolic simulation: instrumentation, liveness, bound monitor, probe."""
 
+import math
 import random
 
 import pytest
@@ -228,6 +229,12 @@ class TestPolyBound:
             PolyBoundConfig(-1, 1, 1)
         with pytest.raises(ValueError):
             PolyBoundConfig(1, 1, 0)
+
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf])
+    def test_non_finite_coefficient_is_rejected(self, coefficient):
+        # size > nan is false for every size, so a NaN bound would pass
+        with pytest.raises(ValueError, match="finite"):
+            PolyBoundConfig(1, coefficient, 1)
 
     def test_bdd_circuit_run_passes_with_size_override(self):
         # the linear bound over s + inputs covers every internal signal
