@@ -37,6 +37,7 @@ it cannot.
 
 from __future__ import annotations
 
+import operator
 import sys
 from typing import Iterable, Mapping, Sequence
 
@@ -83,7 +84,8 @@ class Manager:
         if sorted(order) != list(range(var_count)):
             raise ValueError(f"order is not a permutation of 0..{var_count - 1}")
         self.var_count = var_count
-        self.node_limit = node_limit
+        # an int: the table keys are packed with it (see _span below)
+        self.node_limit = operator.index(node_limit)
         self._var_at = order                         # level -> variable index
         self._level_of = [0] * var_count             # variable index -> level
         for lvl, i in enumerate(order):
@@ -93,16 +95,29 @@ class Manager:
         self._level = [t, t]
         self._high = [-1, -1]
         self._low = [-1, -1]
-        self._unique = {}                            # (level, high, low) -> ref
-        self._cache = {}                             # (f, g, h) -> ref
+        # handles stay below _span, so the table keys (level, high, low)
+        # and (f, g, h) pack into one int each, (a * span + b) * span + c:
+        # smaller than a tuple, and the cycle collector ignores it
+        self._span = self.node_limit + 2
+        self._unique = {}                            # packed (level, high, low) -> ref
+        self._cache = {}                             # packed (f, g, h) -> ref
         self._sizes = {}                             # ref -> size(ref)
         self._walked = ZERO                          # root of the last size walk
         self._reach = set()                          # its internal nodes
-        self.created_count = 0
-        self.ite_calls = 0
+        self._rec, self._count, self._unlink = self._kernel()
         self.size_walked = 0
         # ite/cofactor recurse one frame per level
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * var_count + 2048))
+
+    @property
+    def created_count(self) -> int:
+        """Internal nodes ever created: every arena slot but the terminals."""
+        return len(self._level) - 2
+
+    @property
+    def ite_calls(self) -> int:
+        """``ite`` entries that recursed, counted by the kernel."""
+        return self._count()
 
     # -- node accessors -------------------------------------------------
 
@@ -148,18 +163,18 @@ class Manager:
     def _make(self, level, high, low):
         if high == low:
             return high
-        key = (level, high, low)
+        span = self._span
+        key = (level * span + high) * span + low
         r = self._unique.get(key)
         if r is None:
-            if self.created_count >= self.node_limit:
+            r = len(self._level)
+            if r >= span:
                 raise CapacityError(
                     f"node limit of {self.node_limit} reached", self.node_limit)
-            r = len(self._level)
             self._level.append(level)
             self._high.append(high)
             self._low.append(low)
             self._unique[key] = r
-            self.created_count += 1
         return r
 
     def var(self, index: int) -> int:
@@ -207,76 +222,128 @@ class Manager:
         if g == ONE and h == ZERO:
             return f
         cache = self._cache
+        sq = self._span * self._span             # x * sq + 1 packs (x, 0, 1)
         if g == ZERO:
             if h == ONE:
                 r = self._rec(f, ZERO, ONE)
-                cache[r, ZERO, ONE] = f          # the negation of r is f
+                cache[r * sq + ONE] = f          # the negation of r is f
                 return r
-            nf = cache.get((f, ZERO, ONE))       # ite(f,0,h) = ite(~f,h,0)
+            nf = cache.get(f * sq + ONE)         # ite(f,0,h) = ite(~f,h,0)
             if nf is not None:
                 f, g, h = nf, h, ZERO
         elif h == ONE:
-            nf = cache.get((f, ZERO, ONE))       # ite(f,g,1) = ite(~f,1,g)
+            nf = cache.get(f * sq + ONE)         # ite(f,g,1) = ite(~f,1,g)
             if nf is not None:
                 f, g, h = nf, ONE, g
         if h == ZERO:                            # f AND g
-            if cache.get((f, ZERO, ONE)) == g:
+            if cache.get(f * sq + ONE) == g:
                 return ZERO
             if g < f:
                 f, g = g, f
         elif g == ONE:                           # f OR h
-            if cache.get((f, ZERO, ONE)) == h:
+            if cache.get(f * sq + ONE) == h:
                 return ONE
             if h < f:
                 f, h = h, f
         return self._rec(f, g, h)
 
-    def _rec(self, f, g, h):
+    def _kernel(self):
+        """The ite recursion over this manager's tables, built once.
+
+        Returns ``rec``, which takes a triple that is no terminal case,
+        a function that reads how many calls recursed, and one that
+        unlinks ``rec`` from itself.  ``rec`` refers to itself through
+        its closure and to nothing that refers to the manager, so once
+        unlinked it is freed with the manager.
+        """
         # the arena lists grow in place; binding them once is safe
         cache = self._cache
         cache_get = cache.get
         level = self._level
         high = self._high
         low = self._low
-        make = self._make
+        unique = self._unique
+        unique_get = unique.get
+        span = self._span
+        limit = self.node_limit
+        calls = 0
 
         def rec(f, g, h):
-            # terminal cases, checked before the computed table
-            if f == 1 or g == h:
-                return g
-            if f == 0:
-                return h
-            if g == 1 and h == 0:
-                return f
-            key = (f, g, h)
+            nonlocal calls
+            key = (f * span + g) * span + h
             r = cache_get(key)
             if r is not None:
                 return r
-            self.ite_calls += 1
-            lvl = level[f]
-            if level[g] < lvl:
-                lvl = level[g]
-            if level[h] < lvl:
-                lvl = level[h]
-            if level[f] == lvl:
+            calls += 1
+            lvl = lf = level[f]
+            lg = level[g]
+            lh = level[h]
+            if lg < lvl:
+                lvl = lg
+            if lh < lvl:
+                lvl = lh
+            if lf == lvl:
                 f1, f0 = high[f], low[f]
             else:
                 f1 = f0 = f
-            if level[g] == lvl:
+            if lg == lvl:
                 g1, g0 = high[g], low[g]
             else:
                 g1 = g0 = g
-            if level[h] == lvl:
+            if lh == lvl:
                 h1, h0 = high[h], low[h]
             else:
                 h1 = h0 = h
-            t = rec(f1, g1, h1)
-            e = rec(f0, g0, h0)
-            r = t if t == e else make(lvl, t, e)
+            # the terminal cases of a branch are answered here rather
+            # than by a call
+            if f1 == 1 or g1 == h1:
+                t = g1
+            elif f1 == 0:
+                t = h1
+            elif g1 == 1 and h1 == 0:
+                t = f1
+            else:
+                t = rec(f1, g1, h1)
+            if f0 == 1 or g0 == h0:
+                e = g0
+            elif f0 == 0:
+                e = h0
+            elif g0 == 1 and h0 == 0:
+                e = f0
+            else:
+                e = rec(f0, g0, h0)
+            if t == e:
+                r = t
+            else:
+                # _make, inlined: the kernel makes most of the nodes
+                ukey = (lvl * span + t) * span + e
+                r = unique_get(ukey)
+                if r is None:
+                    r = len(level)
+                    if r >= span:
+                        raise CapacityError(
+                            f"node limit of {limit} reached", limit)
+                    level.append(lvl)
+                    high.append(t)
+                    low.append(e)
+                    unique[ukey] = r
             cache[key] = r
             return r
 
-        return rec(f, g, h)
+        def count():
+            return calls
+
+        def unlink():
+            nonlocal rec
+            rec = None
+
+        return rec, count, unlink
+
+    def __del__(self):
+        # absent when __init__ failed before building the kernel
+        unlink = self.__dict__.get("_unlink")
+        if unlink is not None:
+            unlink()
 
     def inv(self, f: int) -> int:
         self._check_ref(f)

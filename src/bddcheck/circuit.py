@@ -125,8 +125,21 @@ def topological_order(c: Circuit) -> list[Gate]:
 
 def _sort(c: Circuit) -> tuple[Gate, ...]:
     """Kahn's algorithm with declaration order breaking ties.  Raises
-    :class:`CircuitError` naming a signal on the cycle if there is one."""
+    :class:`CircuitError` naming a signal on the cycle if there is one.
+
+    When every gate reads only signals defined before it, the
+    declaration order is that order already: gate ``i`` is ready once
+    gates ``0..i-1`` are done, and no smaller index is left waiting.
+    One linear pass checks this before the heap is built.
+    """
     avail = set(c.inputs) | {n for n, _ in c.constants}
+    defined = set(avail)
+    for g in c.gates:
+        if not defined.issuperset(g.inputs):
+            break
+        defined.add(g.output)
+    else:
+        return c.gates
     waiting = []                     # per gate: unavailable input references
     consumers = {}                   # signal -> gate indices waiting on it
     ready = []

@@ -6,6 +6,7 @@ same artifact, byte for byte once serialized.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
@@ -31,11 +32,10 @@ def random_tree_circuit(n: int, depth: int = 0, seed: int = 0,
     rng = random.Random(seed)
     inputs = tuple(f"x{i + 1}" for i in range(n))
     gates: list[Gate] = []
-    counter = [0]
+    counter = itertools.count(1)
 
     def fresh() -> str:
-        counter[0] += 1
-        return f"g{counter[0]}"
+        return f"g{next(counter)}"
 
     def build(lo: int, hi: int, level: int) -> str:
         if hi - lo == 1:
@@ -44,7 +44,7 @@ def random_tree_circuit(n: int, depth: int = 0, seed: int = 0,
             if depth and level >= depth:
                 split = lo + (hi - lo) // 2
             else:
-                split = rng.randint(lo + 1, hi - 1)
+                split = rng.randrange(lo + 1, hi)
             left = build(lo, split, level + 1)
             right = build(split, hi, level + 1)
             sig = fresh()

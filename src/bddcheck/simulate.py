@@ -86,47 +86,77 @@ class _LiveTracker:
 
     ``_refs[v]`` counts root slots on ``v`` plus reachable parents of
     ``v``; a node is live while its count is positive.  ``_refs`` is a
-    list indexed by handle that grows with the arena.  Adding or
-    removing a root costs one traversal of the nodes whose reachability
-    actually changes.
+    list indexed by handle that grows with the arena.  The terminals
+    start at 1, so they are never counted or walked.  Adding or removing
+    a root costs one traversal of the nodes whose reachability actually
+    changes: a child's count is updated where its parent is visited,
+    and only a child that changes state is pushed.
     """
 
     def __init__(self, mgr: Manager):
         # the arena lists grow in place, so binding them once is safe
         self._high = mgr._high
         self._low = mgr._low
-        self._refs = []
+        self._refs = [1, 1]
         self.live = 0
 
     def add_root(self, ref: int):
-        high = self._high
-        low = self._low
         refs = self._refs
+        high = self._high
         if len(refs) < len(high):
             refs.extend([0] * (len(high) - len(refs)))
+        c = refs[ref]
+        refs[ref] = c + 1
+        if c:
+            return
+        low = self._low
+        live = self.live + 1
         stack = [ref]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            u = stack.pop()
-            c = refs[u]
-            refs[u] = c + 1
-            if c == 0 and u > 1:
-                self.live += 1
-                stack.append(high[u])
-                stack.append(low[u])
+            u = pop()
+            v = high[u]
+            c = refs[v]
+            refs[v] = c + 1
+            if not c:
+                live += 1
+                push(v)
+            v = low[u]
+            c = refs[v]
+            refs[v] = c + 1
+            if not c:
+                live += 1
+                push(v)
+        self.live = live
 
     def remove_root(self, ref: int):
+        refs = self._refs
+        c = refs[ref] - 1
+        refs[ref] = c
+        if c:
+            return
         high = self._high
         low = self._low
-        refs = self._refs
+        live = self.live - 1
         stack = [ref]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            u = stack.pop()
-            c = refs[u] - 1
-            refs[u] = c
-            if c == 0 and u > 1:
-                self.live -= 1
-                stack.append(high[u])
-                stack.append(low[u])
+            u = pop()
+            v = high[u]
+            c = refs[v] - 1
+            refs[v] = c
+            if not c:
+                live -= 1
+                push(v)
+            v = low[u]
+            c = refs[v] - 1
+            refs[v] = c
+            if not c:
+                live -= 1
+                push(v)
+        self.live = live
 
 
 def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,

@@ -1,7 +1,9 @@
 """Core BDD engine: canonicity, reduction, ordering, ite semantics and
 the measured cost bounds."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,7 +139,9 @@ class TestIteSemantics:
             random_node(m, rng, pool)
         entries = list(m._cache.items())
         rng.shuffle(entries)
-        for (f, g, h), r in entries[:200]:
+        for key, r in entries[:200]:
+            fg, h = divmod(key, m._span)
+            f, g = divmod(fg, m._span)
             tf = bdd_function_table(m, f)
             tg = bdd_function_table(m, g)
             th = bdd_function_table(m, h)
@@ -389,6 +393,44 @@ class TestDumpAndCapacity:
             pool = [m.var(i) for i in range(8)]
             for _ in range(100):
                 random_node(m, rng, pool)
+
+    def test_kernel_is_freed_with_the_manager(self):
+        # the kernel closure refers to itself; the manager unlinks it, so
+        # the tables do not wait for the cycle collector
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m = Manager(3)
+            m.apply("xor", [m.var(0), m.apply("or", [m.var(1), m.var(2)])])
+            kernel = weakref.ref(m._rec)
+            del m
+            assert kernel() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_node_limit_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            Manager(2, node_limit=1.5)
+
+    def test_packed_keys_stay_distinct_at_a_small_limit(self):
+        # the table keys pack handles in base node_limit + 2, so a small
+        # limit is where two triples would share a key if any could
+        m = Manager(6, node_limit=60)
+        rng = random.Random(3)
+        pool = [m.var(i) for i in range(6)]
+        with pytest.raises(CapacityError):
+            for _ in range(500):
+                random_node(m, rng, pool)
+        tables = [bdd_function_table(m, u) for u in range(2, m.created_count + 2)]
+        assert len(set(tables)) == len(tables)
+        full = (1 << (1 << 6)) - 1
+        span = m.node_limit + 2
+        for key, r in m._cache.items():
+            fg, h = divmod(key, span)
+            f, g = divmod(fg, span)
+            tf, tg, th = (bdd_function_table(m, x) for x in (f, g, h))
+            assert bdd_function_table(m, r) == (tf & tg) | ((tf ^ full) & th)
 
     def test_invalid_ref_rejected(self):
         m = Manager(2)

@@ -6,6 +6,7 @@ from bddcheck import (Circuit, CircuitError, CV_TABLE, Gate, build_miter,
                       circuit_truth_table, decompose_multi_input,
                       dfs_variable_order, expand_mux, fanout_counts, is_tree,
                       tables_equal, topological_order)
+from bddcheck.generators import random_dag_circuit
 
 
 def test_controlling_value_table():
@@ -88,6 +89,24 @@ class TestTopologicalOrder:
         for g in c.gates:
             for s in g.inputs:
                 if s in produced:
+                    assert pos[s] < pos[g.output]
+
+    def test_gates_declared_after_their_inputs_keep_declaration_order(self):
+        c = random_dag_circuit(6, 40, seed=5, n_outputs=3)
+        assert topological_order(c) == list(c.gates)
+        # one gate moved ahead of its producer leaves the declaration
+        # order, and the heap sort still honours every dependency
+        gates = list(c.gates)
+        last = gates.pop()
+        assert set(last.inputs) & {g.output for g in gates}
+        moved = Circuit(c.inputs, c.outputs, [last] + gates, c.constants)
+        order = topological_order(moved)
+        assert order != list(moved.gates)
+        assert sorted(g.output for g in order) == sorted(g.output for g in gates + [last])
+        pos = {g.output: i for i, g in enumerate(order)}
+        for g in order:
+            for s in g.inputs:
+                if s in pos:
                     assert pos[s] < pos[g.output]
 
     def test_deterministic_among_ready_gates(self):
