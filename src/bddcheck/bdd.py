@@ -86,6 +86,8 @@ class Manager:
         self.var_count = var_count
         # an int: the table keys are packed with it (see _span below)
         self.node_limit = operator.index(node_limit)
+        if self.node_limit < 0:
+            raise ValueError("node_limit must be non-negative")
         self._var_at = order                         # level -> variable index
         self._level_of = [0] * var_count             # variable index -> level
         for lvl, i in enumerate(order):

@@ -286,6 +286,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "capacity", 0) < 0:
+            raise BddCheckError(f"--capacity must be >= 0, not {args.capacity}")
         return args.func(args)
     except (BddCheckError, OSError) as exc:
         # usage errors, and files that cannot be read or written

@@ -4,6 +4,9 @@ Two circuits over the same inputs are compared by XOR-ing corresponding
 outputs and OR-ing the XOR results into a single signal.  The circuits
 are equivalent exactly when the BDD built for that signal is the
 0-terminal; otherwise any satisfying assignment is a counterexample.
+The one reported is the smallest by variable index, 0 first: the
+smallest int whose bit ``n-1-i`` is variable ``i``, found in one pass
+over the nodes of the miter output.
 """
 
 from __future__ import annotations
@@ -91,50 +94,34 @@ def build_miter(c1: Circuit, c2: Circuit) -> Circuit:
     return Circuit(c1.inputs, (out,), gates, tuple(consts1 + consts2))
 
 
-def _satisfiable(mgr: Manager, f: int, fixed: list[int]) -> bool:
-    """Whether ``f`` has a 1-path once variable ``i`` is set to ``fixed[i]``
-    for every ``i < len(fixed)``; the other variables stay free."""
-    # read the arena directly, as the live tracker does: every handle
-    # met below ``f`` was made by the manager, so none needs a check
-    var_at = mgr._var_at
-    level = mgr._level
-    high = mgr._high
-    low = mgr._low
-    n = len(fixed)
-    seen = set()
-    stack = [f]
-    while stack:
-        u = stack.pop()
-        if u == ONE:
-            return True
-        if u == ZERO or u in seen:
-            continue
-        seen.add(u)
-        i = var_at[level[u]]
-        if i >= n:
-            stack.append(low[u])
-            stack.append(high[u])
-        else:
-            stack.append(high[u] if fixed[i] else low[u])
-    return False
-
-
 def extract_counterexample(mgr: Manager, f: int) -> list[int]:
     """Lexicographically smallest satisfying assignment of ``f``.
 
     Smallest by variable index, preferring 0; variables outside the
-    support are fixed to 0.  Returns one bit per manager variable.
-    Only walks the existing nodes, so it creates none and cannot hit
-    the node limit.  It is still one satisfiability walk per variable,
-    so its cost is the variable count times the size of ``f``.
+    support are 0.  Returns one bit per manager variable.
+
+    An assignment read as an int whose bit ``n-1-i`` is variable ``i``
+    orders the same way, so the witness is the smallest such int.  Each
+    node's smallest int is the smaller of its low child's and its high
+    child's with the node's variable set: neither child tests that
+    variable, and a variable a path skips stays 0.  One pass over the
+    nodes of ``f`` in ascending handle order, children first, finds
+    them all.  It creates no node, so it cannot hit the node limit.
     """
     if f == ZERO:
         raise BddCheckError("function is constant 0: no witness exists")
-    bits = []
-    for _ in range(mgr.var_count):
-        bits.append(0)
-        if not _satisfiable(mgr, f, bits):
-            bits[-1] = 1
+    n = mgr.var_count
+    best = {ZERO: None, ONE: 0}
+    for u in mgr.reachable(f):
+        w = best[mgr.low(u)]
+        hi = best[mgr.high(u)]
+        if hi is not None:
+            hi |= 1 << (n - 1 - mgr.var_index(u))
+            if w is None or hi < w:
+                w = hi
+        best[u] = w
+    w = best[f]
+    bits = [(w >> (n - 1 - i)) & 1 for i in range(n)]
     assert mgr.eval(f, bits) == ONE
     return bits
 

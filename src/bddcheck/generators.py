@@ -14,11 +14,11 @@ from .bdd import Manager, ONE, ZERO
 from .circuit import Circuit, Gate, fresh_name
 
 TREE_KINDS = ("and", "or", "nand", "nor")
+TREE_INV_PROB = 0.15          # chance that a tree signal feeds an inverter
 DAG_KINDS = ("and", "or", "nand", "nor", "xor", "inv", "buf", "mux")
 
 
-def random_tree_circuit(n: int, depth: int = 0, seed: int = 0,
-                        inv_prob: float = 0.15) -> Circuit:
+def random_tree_circuit(n: int, depth: int = 0, seed: int = 0) -> Circuit:
     """Random fanout-free circuit over and/or/nand/nor/inv.
 
     Exactly ``n`` inputs, each used once, one output.  ``depth`` caps
@@ -49,7 +49,7 @@ def random_tree_circuit(n: int, depth: int = 0, seed: int = 0,
             right = build(split, hi, level + 1)
             sig = fresh()
             gates.append(Gate(rng.choice(TREE_KINDS), sig, (left, right)))
-        if rng.random() < inv_prob:
+        if rng.random() < TREE_INV_PROB:
             out = fresh()
             gates.append(Gate("inv", out, (sig,)))
             sig = out

@@ -100,61 +100,40 @@ class _LiveTracker:
         self._refs = [1, 1]
         self.live = 0
 
-    def add_root(self, ref: int):
+    def shift(self, ref: int, d: int):
+        """Add a root slot on ``ref`` (``d = 1``) or remove one (``d = -1``).
+
+        A node changes state when its count reaches 1 on an add or 0 on
+        a remove; only such a node adds ``d`` to ``live`` and passes the
+        step on to its children.
+        """
         refs = self._refs
         high = self._high
         if len(refs) < len(high):
             refs.extend([0] * (len(high) - len(refs)))
-        c = refs[ref]
-        refs[ref] = c + 1
-        if c:
-            return
-        low = self._low
-        live = self.live + 1
-        stack = [ref]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            u = pop()
-            v = high[u]
-            c = refs[v]
-            refs[v] = c + 1
-            if not c:
-                live += 1
-                push(v)
-            v = low[u]
-            c = refs[v]
-            refs[v] = c + 1
-            if not c:
-                live += 1
-                push(v)
-        self.live = live
-
-    def remove_root(self, ref: int):
-        refs = self._refs
-        c = refs[ref] - 1
+        turn = 1 if d > 0 else 0
+        c = refs[ref] + d
         refs[ref] = c
-        if c:
+        if c != turn:
             return
-        high = self._high
         low = self._low
-        live = self.live - 1
+        live = self.live + d
         stack = [ref]
         pop = stack.pop
         push = stack.append
         while stack:
             u = pop()
             v = high[u]
-            c = refs[v] - 1
+            c = refs[v] + d
             refs[v] = c
-            if not c:
-                live -= 1
+            if c == turn:
+                live += d
                 push(v)
             v = low[u]
-            c = refs[v] - 1
+            c = refs[v] + d
             refs[v] = c
-            if not c:
-                live -= 1
+            if c == turn:
+                live += d
                 push(v)
         self.live = live
 
@@ -191,7 +170,7 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     def define(name, ref):
         bdds[name] = ref
         if tracker and uses[name]:
-            tracker.add_root(ref)
+            tracker.shift(ref, 1)
 
     signal = None
     try:
@@ -218,7 +197,7 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
                 for s in gate.inputs:
                     uses[s] -= 1
                     if not uses[s]:
-                        tracker.remove_root(bdds[s])
+                        tracker.shift(bdds[s], -1)
             rows.append(SignalRow(
                 len(rows), signal, gate.kind, mgr.size(result),
                 mgr.created_count - stats.created_baseline,

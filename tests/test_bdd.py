@@ -413,6 +413,13 @@ class TestDumpAndCapacity:
         with pytest.raises(TypeError):
             Manager(2, node_limit=1.5)
 
+    def test_node_limit_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="node_limit"):
+            Manager(2, node_limit=-3)
+        m = Manager(2, node_limit=0)        # no internal node fits
+        with pytest.raises(CapacityError):
+            m.var(0)
+
     def test_packed_keys_stay_distinct_at_a_small_limit(self):
         # the table keys pack handles in base node_limit + 2, so a small
         # limit is where two triples would share a key if any could

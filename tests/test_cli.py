@@ -260,6 +260,21 @@ class TestUsage:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{net}", "{net}"],
+        ["simulate", "{net}", "--format", "text"],
+        ["expand-bdd", "{net}"],
+    ])
+    def test_negative_capacity_is_a_usage_error(self, argv, files, capsys):
+        # not a capacity abort (exit 2); a capacity of 0 still is one
+        net = files("and.net", AND_NET)
+        argv = [a.format(net=net) for a in argv]
+        assert main(argv + ["--capacity", "-5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --capacity must be >= 0, not -5\n"
+        assert main(argv + ["--capacity", "0"]) == 2
+
 
 def _provenance(command, config_hash, mode=None):
     return {"tool": "bddcheck", "version": "0.1.0", "seed": None,

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bddcheck import (ABORTED, BddCheckError, Circuit, EQUIVALENT, Gate,
                       InterfaceError, Manager, NOT_EQUIVALENT, ZERO,
@@ -102,18 +103,17 @@ class TestExtractCounterexample:
             )
             assert tuple(got) == want
 
-    def test_minimal_under_a_permuted_order(self):
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_minimal_under_a_permuted_order(self, data):
         # smallest by variable index, whatever level each variable tests at
-        for seed in range(5):
-            order = list(range(5))
-            random.Random(seed).shuffle(order)
-            m = Manager(5, order)
-            f = random_bdd(m, seed=seed)
-            got = extract_counterexample(m, f)
-            want = min(tuple((r >> i) & 1 for i in range(5))
-                       for r in range(32)
-                       if m.eval(f, [(r >> i) & 1 for i in range(5)]))
-            assert tuple(got) == want
+        n = data.draw(st.integers(1, 10))
+        m = Manager(n, data.draw(st.permutations(range(n))))
+        f = random_bdd(m, seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+        got = extract_counterexample(m, f)
+        rows = ([(r >> i) & 1 for i in range(n)] for r in range(1 << n))
+        want = min(tuple(row) for row in rows if m.eval(f, row))
+        assert tuple(got) == want
 
     def test_extraction_creates_no_nodes(self):
         # bottom-up order: fixing variable 0 first restricts the lowest level
@@ -195,6 +195,30 @@ class TestCheckEquivalence:
         assert out.verdict == NOT_EQUIVALENT
         assert evaluate_circuit(c1, out.counterexample) != evaluate_circuit(
             c2, out.counterexample)
+
+    def test_chain_witness_follows_from_the_structure(self):
+        # a parity chain against the copy whose last XOR is an OR: the
+        # outputs differ exactly where the last input and the parity of
+        # the others are both 1, and the smallest such assignment sets
+        # the last input and the highest-index other input
+        n = 2000
+        enter = list(range(n))
+        random.Random(4).shuffle(enter)
+        inputs = tuple(f"x{i}" for i in range(n))
+
+        def chain(last_kind):
+            gates, acc = [], inputs[enter[0]]
+            for k, i in enumerate(enter[1:], 1):
+                kind = last_kind if k == n - 1 else "xor"
+                gates.append(Gate(kind, f"t{k}", (acc, inputs[i])))
+                acc = f"t{k}"
+            return Circuit(inputs, (acc,), tuple(gates))
+
+        out = check_equivalence(chain("xor"), chain("or"), enter[::-1])
+        assert out.verdict == NOT_EQUIVALENT
+        other = max(i for i in range(n) if i != enter[-1])
+        assert out.counterexample == {
+            x: int(i in (enter[-1], other)) for i, x in enumerate(inputs)}
 
     def test_outcome_stats_present(self):
         out = check_equivalence(and2(), and2())

@@ -151,6 +151,24 @@ class TestLiveness:
         assert res.stats.peak_live == max(r.live_nodes
                                           for r in res.stats.rows)
 
+    def test_live_nodes_match_a_recount_of_the_live_signals(self):
+        # live after a row: the inputs, the outputs defined so far and
+        # the signals that a gate of a later row still reads
+        for seed in range(12):
+            c = random_dag_circuit(6, 30, seed=seed, n_outputs=4)
+            res = simulate(c)
+            rows = res.stats.rows
+            row_of = {r.signal: r.topo_index for r in rows}
+            last_read = {}
+            for g in c.gates:
+                for s in g.inputs:
+                    last_read[s] = max(last_read.get(s, -1), row_of[g.output])
+            kept = set(c.inputs) | set(c.outputs)
+            for k, row in enumerate(rows):
+                live = [res.signal_bdds[r.signal] for r in rows[:k + 1]
+                        if r.signal in kept or last_read.get(r.signal, -1) > k]
+                assert row.live_nodes == len(res.manager.reachable(live))
+
     def test_tracking_can_be_disabled(self):
         res = simulate(two_and_two_or(), track_live=False)
         assert res.stats.peak_live is None
