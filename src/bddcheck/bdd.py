@@ -108,8 +108,14 @@ class Manager:
         self._reach = set()                          # its internal nodes
         self._rec, self._count, self._unlink = self._kernel()
         self.size_walked = 0
-        # ite/cofactor recurse one frame per level
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * var_count + 2048))
+        # the ite kernel recurses one frame per level; raise the limit
+        # only when that depth does not fit under it from here (frames
+        # counted by hand: importing traceback adds 2 MB to peak RSS)
+        frame, need = sys._getframe(), var_count + 200
+        while frame is not None:
+            frame, need = frame.f_back, need + 1
+        if need > sys.getrecursionlimit():
+            sys.setrecursionlimit(need)
 
     @property
     def created_count(self) -> int:
@@ -421,22 +427,16 @@ class Manager:
         if value not in (0, 1):
             raise ValueError("value must be 0 or 1")
         target = self._level_of[index]
-        memo = {}
-
-        def walk(u):
-            if self._level[u] > target:
-                return u
-            r = memo.get(u)
-            if r is None:
-                if self._level[u] == target:
-                    r = self._high[u] if value else self._low[u]
-                else:
-                    r = self._make(self._level[u],
-                                   walk(self._high[u]), walk(self._low[u]))
-                memo[u] = r
-            return r
-
-        return walk(f)
+        level, high, low = self._level, self._high, self._low
+        r = {ZERO: ZERO, ONE: ONE}
+        for u in self.reachable(f):              # children first
+            if level[u] > target:
+                r[u] = u
+            elif level[u] == target:
+                r[u] = high[u] if value else low[u]
+            else:
+                r[u] = self._make(level[u], r[high[u]], r[low[u]])
+        return r[f]
 
     def eval(self, f: int, assignment: Mapping[int, int] | Sequence[int]) -> int:
         """Follow high/low edges under ``assignment`` to a terminal.

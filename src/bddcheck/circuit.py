@@ -2,8 +2,10 @@
 
 A :class:`Circuit` is immutable after construction and validated on
 construction: unique signal names, known gate kinds and arities, no
-undefined references, no cycles.  Gates may be declared in any order;
-only the dependency graph has to be acyclic.
+undefined references, no cycles.  This is the package's only structural
+check; each :class:`CircuitError` it raises names the signal at fault.
+Gates may be declared in any order; only the dependency graph has to be
+acyclic.
 """
 
 from __future__ import annotations
@@ -77,41 +79,52 @@ class Circuit:
 def _check_arity(gate: Gate):
     n = len(gate.inputs)
     if gate.kind in ("inv", "buf"):
-        if n != 1:
-            raise CircuitError(
-                f"gate '{gate.output}': {gate.kind} takes exactly 1 input, got {n}")
+        ok, want = n == 1, "exactly 1 input"
     elif gate.kind == "mux":
-        if n != 3:
-            raise CircuitError(
-                f"gate '{gate.output}': mux takes exactly 3 inputs, got {n}")
-    elif n < 2:
-        raise CircuitError(
-            f"gate '{gate.output}': {gate.kind} takes at least 2 inputs, got {n}")
+        ok, want = n == 3, "exactly 3 inputs"
+    else:
+        ok, want = n >= 2, "at least 2 inputs"
+    if not ok:
+        raise CircuitError(f"gate '{gate.output}': {gate.kind} takes {want}, "
+                           f"got {n}", signal=gate.output)
 
 
 def _validate(c: Circuit) -> tuple[Gate, ...]:
-    defined = set()
-    for name in c.signals:
+    """Check the structure; return the gates in :func:`_sort`'s order.
+
+    When every gate reads only signals declared before it, that order
+    is the declaration order: gate ``i`` is ready once gates ``0..i-1``
+    are done, and no smaller index is left waiting.
+    """
+    # signal -> index of its gate; inputs and constants get negative ones
+    rank = {}
+    for i, name in enumerate(c.signals, -len(c.inputs) - len(c.constants)):
         if not name:
-            raise CircuitError("empty signal name")
-        if name in defined:
-            raise CircuitError(f"duplicate signal '{name}'")
-        defined.add(name)
+            raise CircuitError("empty signal name", signal=name)
+        if name in rank:
+            raise CircuitError(f"duplicate signal '{name}'", signal=name)
+        rank[name] = i
     for name, bit in c.constants:
         if bit not in (0, 1):
-            raise CircuitError(f"constant '{name}' must be 0 or 1")
-    for g in c.gates:
+            raise CircuitError(f"constant '{name}' must be 0 or 1", signal=name)
+    ordered = True
+    for i, g in enumerate(c.gates):
         if g.kind not in GATE_KINDS:
-            raise CircuitError(f"gate '{g.output}': unknown kind '{g.kind}'")
+            raise CircuitError(f"gate '{g.output}': unknown kind '{g.kind}'",
+                               signal=g.output)
         _check_arity(g)
         for s in g.inputs:
-            if s not in defined:
+            r = rank.get(s)
+            if r is None:
                 raise CircuitError(
-                    f"undefined signal '{s}' feeding gate '{g.output}'")
+                    f"undefined signal '{s}' feeding gate '{g.output}'",
+                    signal=g.output)
+            if r >= i:
+                ordered = False
     for name in c.outputs:
-        if name not in defined:
-            raise CircuitError(f"undefined output signal '{name}'")
-    return _sort(c)  # raises on cycles
+        if name not in rank:
+            raise CircuitError(f"undefined output signal '{name}'", signal=name)
+    return c.gates if ordered else _sort(c)  # _sort raises on cycles
 
 
 def topological_order(c: Circuit) -> list[Gate]:
@@ -126,20 +139,8 @@ def topological_order(c: Circuit) -> list[Gate]:
 def _sort(c: Circuit) -> tuple[Gate, ...]:
     """Kahn's algorithm with declaration order breaking ties.  Raises
     :class:`CircuitError` naming a signal on the cycle if there is one.
-
-    When every gate reads only signals defined before it, the
-    declaration order is that order already: gate ``i`` is ready once
-    gates ``0..i-1`` are done, and no smaller index is left waiting.
-    One linear pass checks this before the heap is built.
     """
     avail = set(c.inputs) | {n for n, _ in c.constants}
-    defined = set(avail)
-    for g in c.gates:
-        if not defined.issuperset(g.inputs):
-            break
-        defined.add(g.output)
-    else:
-        return c.gates
     waiting = []                     # per gate: unavailable input references
     consumers = {}                   # signal -> gate indices waiting on it
     ready = []

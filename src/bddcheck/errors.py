@@ -16,7 +16,9 @@ class CapacityError(BddCheckError):
 class CircuitError(BddCheckError):
     """Structural problem in a circuit (bad arity, undefined signal, cycle).
 
-    For cycles, ``signal`` names one signal on the cycle.
+    ``signal`` names the signal at fault, if there is one: a duplicated
+    name, the gate with a bad kind, arity or input, an undefined output,
+    or one signal on a cycle.
     """
 
     def __init__(self, message, signal=None):

@@ -10,16 +10,20 @@ Grammar (one directive per line, lowercase, ``#`` starts a comment)::
 
 ``KIND`` is one of and/or/nand/nor/xor/inv/buf/mux; mux inputs are
 ordered (select, else, then).  Names match ``[A-Za-z_][A-Za-z0-9_]*``.
-``.end`` is mandatory.  Parsing is strict: the first error wins and
-every diagnostic carries a 1-based line number.  Gates may reference
-signals defined later in the file.
+``.end`` is mandatory.  Gates may reference signals defined later in
+the file.  Parsing is strict and every diagnostic carries a 1-based
+line number.  ``parse`` checks only the syntax, and its first syntax
+error wins.  A document without one is checked for structure by
+:class:`Circuit`, whose first error is reported on the line that
+declares the signal at fault: the second definition of a duplicated
+name, the gate itself, or the ``.outputs`` line of an undefined output.
 """
 
 from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, Gate, GATE_KINDS, _check_arity, topological_order
+from .circuit import Circuit, Gate, GATE_KINDS, topological_order
 from .errors import CircuitError, ParseError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -37,15 +41,9 @@ def parse(text: str) -> Circuit:
     outputs: list[tuple[str, int]] = []
     constants: list[tuple[str, int]] = []
     gates: list[Gate] = []
-    gate_line: dict[str, int] = {}
-    defined: dict[str, int] = {}
+    defs: list[str] = []                 # defined names, in file order,
+    def_lines: list[int] = []            # and the line of each
     end_seen = False
-
-    def define(name: str, line: int):
-        if name in defined:
-            raise ParseError(f"duplicate signal '{name}'", line)
-        defined[name] = line
-
     lines = text.split("\n")
     for ln, raw in enumerate(lines, 1):
         stripped = raw.rstrip("\r").strip()
@@ -59,8 +57,9 @@ def parse(text: str) -> Circuit:
             if not args:
                 raise ParseError(".inputs needs at least one name", ln)
             for name in args:
-                define(_check_name(name, ln), ln)
-                inputs.append(name)
+                defs.append(_check_name(name, ln))
+                def_lines.append(ln)
+            inputs += args
         elif directive == ".outputs":
             if not args:
                 raise ParseError(".outputs needs at least one name", ln)
@@ -72,7 +71,8 @@ def parse(text: str) -> Circuit:
             name, bit = args
             if bit not in ("0", "1"):
                 raise ParseError(f"constant bit must be 0 or 1, got '{bit}'", ln)
-            define(_check_name(name, ln), ln)
+            defs.append(_check_name(name, ln))
+            def_lines.append(ln)
             constants.append((name, int(bit)))
         elif directive == ".gate":
             if len(args) < 3:
@@ -80,13 +80,11 @@ def parse(text: str) -> Circuit:
             kind, out, ins = args[0], args[1], args[2:]
             if kind not in GATE_KINDS:
                 raise ParseError(f"unknown gate kind '{kind}'", ln)
-            define(_check_name(out, ln), ln)
+            defs.append(_check_name(out, ln))
+            def_lines.append(ln)
             for name in ins:
                 _check_name(name, ln)
-            gate = Gate(kind, out, tuple(ins))
-            _check_gate_arity(gate, ln)
-            gates.append(gate)
-            gate_line[out] = ln
+            gates.append(Gate(kind, out, tuple(ins)))
         elif directive == ".end":
             end_seen = True
         else:
@@ -94,32 +92,14 @@ def parse(text: str) -> Circuit:
     if not end_seen:
         raise ParseError(".end missing", max(1, len(lines)))
 
-    # reference checks, in file order so the first error wins
-    events = sorted(
-        [(gate_line[g.output], "gate", g) for g in gates]
-        + [(ln, "output", name) for name, ln in outputs])
-    for ln, kind, payload in events:
-        if kind == "gate":
-            for s in payload.inputs:
-                if s not in defined:
-                    raise ParseError(f"undefined signal '{s}'", ln)
-        elif payload not in defined:
-            raise ParseError(f"undefined signal '{payload}'", ln)
-
     try:
         return Circuit(tuple(inputs), tuple(n for n, _ in outputs),
                        tuple(gates), tuple(constants))
     except CircuitError as exc:
-        if exc.signal is not None:
-            raise ParseError(str(exc), gate_line[exc.signal]) from exc
-        raise ParseError(str(exc), max(1, len(lines))) from exc
-
-
-def _check_gate_arity(gate: Gate, line: int):
-    try:
-        _check_arity(gate)
-    except CircuitError as exc:
-        raise ParseError(str(exc), line) from exc
+        # a name's second definition, else its only one, else .outputs
+        at = [ln for name, ln in zip(defs, def_lines) if name == exc.signal]
+        at = at[1:] or at or [ln for name, ln in outputs if name == exc.signal]
+        raise ParseError(str(exc), at[0]) from exc
 
 
 def serialize(c: Circuit) -> str:

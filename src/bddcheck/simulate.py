@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Real
 from typing import NamedTuple
 
@@ -45,13 +45,13 @@ class SimStats:
     order_used: tuple[int, ...]
     input_count: int
     node_limit: int
-    rows: list[SignalRow] = field(default_factory=list)
     peak_live: int | None = None
     ite_entries_total: int = 0
     created_baseline: int = 0
     created_total: int = 0
     completed: bool = True
     failing_signal: str | None = None
+    rows: list[SignalRow] = field(default_factory=list)
 
     @property
     def per_signal_size(self) -> dict[str, int]:
@@ -328,15 +328,9 @@ def stats_to_csv(stats: SimStats) -> str:
 
 
 def stats_to_json(stats: SimStats) -> dict:
-    return {
-        "order_used": list(stats.order_used),
-        "input_count": stats.input_count,
-        "node_limit": stats.node_limit,
-        "peak_live": stats.peak_live,
-        "ite_entries_total": stats.ite_entries_total,
-        "created_baseline": stats.created_baseline,
-        "created_total": stats.created_total,
-        "completed": stats.completed,
-        "failing_signal": stats.failing_signal,
-        "signals": [dict(zip(SIGNAL_KEYS, r)) for r in stats.rows],
-    }
+    """The scalar fields in field order, then the rows as ``signals``."""
+    doc = {f.name: getattr(stats, f.name) for f in fields(stats)
+           if f.name != "rows"}
+    doc["order_used"] = list(stats.order_used)
+    doc["signals"] = [dict(zip(SIGNAL_KEYS, r)) for r in stats.rows]
+    return doc

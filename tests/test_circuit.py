@@ -6,6 +6,7 @@ from bddcheck import (Circuit, CircuitError, CV_TABLE, Gate, build_miter,
                       circuit_truth_table, decompose_multi_input,
                       dfs_variable_order, expand_mux, fanout_counts, is_tree,
                       tables_equal, topological_order)
+from bddcheck.circuit import _validate
 from bddcheck.generators import random_dag_circuit
 
 
@@ -56,6 +57,21 @@ class TestValidation:
         with pytest.raises(CircuitError, match="must be 0 or 1"):
             Circuit(("x",), ("x",), (), (("c", 2),))
 
+    @pytest.mark.parametrize("args, signal", [
+        ((("x", ""), ("x",), ()), ""),
+        ((("x", "x"), ("x",), ()), "x"),
+        ((("x",), ("x",), (), (("c", 2),)), "c"),
+        ((("x", "z"), ("y",), (Gate("xnor", "y", ("x", "z")),)), "y"),
+        ((("x", "z"), ("y",), (Gate("inv", "y", ("x", "z")),)), "y"),
+        ((("x",), ("y",), (Gate("inv", "y", ("zz",)),)), "y"),
+        ((("x",), ("nope",), (Gate("inv", "y", ("x",)),)), "nope"),
+        ((("x",), ("y",), (Gate("and", "y", ("x", "y")),)), "y"),
+    ])
+    def test_every_error_names_its_signal(self, args, signal):
+        with pytest.raises(CircuitError) as err:
+            Circuit(*args)
+        assert err.value.signal == signal
+
 
 class TestTopologicalOrder:
     def test_single_gate(self):
@@ -69,6 +85,16 @@ class TestTopologicalOrder:
              Gate("inv", "c2", ("c1",)),
              Gate("inv", "c1", ("x",))))
         assert [g.output for g in topological_order(c)] == ["c1", "c2", "c3"]
+
+    def test_declaration_order_is_kept_only_when_topological(self):
+        c = two_and_two_or()
+        assert _validate(c) is c.gates
+        # Kahn's order: among ready gates the first declared goes first
+        c = Circuit(("x",), ("a",),
+                    (Gate("inv", "a", ("b",)),
+                     Gate("inv", "c", ("x",)),
+                     Gate("inv", "b", ("x",))))
+        assert [g.output for g in _validate(c)] == ["c", "b", "a"]
 
     def test_self_feeding_gate_is_a_cycle(self):
         with pytest.raises(CircuitError, match="cycle through signal"):

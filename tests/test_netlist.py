@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bddcheck import (Circuit, Gate, GATE_KINDS, ParseError, parse,
-                      serialize)
+from bddcheck import (Circuit, CircuitError, Gate, GATE_KINDS, ParseError,
+                      parse, serialize)
 from bddcheck.generators import random_dag_circuit, random_tree_circuit
 
 MINIMAL_AND = """\
@@ -109,6 +109,66 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse(doc)
             assert err.value.line >= 1
+
+
+def declared(text):
+    """The Circuit arguments a well-formed document declares."""
+    inputs, outputs, gates, constants = [], [], [], []
+    for line in text.splitlines():
+        directive, *args = line.split()
+        if directive == ".inputs":
+            inputs += args
+        elif directive == ".outputs":
+            outputs += args
+        elif directive == ".const":
+            constants.append((args[0], int(args[1])))
+        elif directive == ".gate":
+            gates.append(Gate(args[0], args[1], tuple(args[2:])))
+    return inputs, outputs, gates, constants
+
+
+class TestStructuralErrors:
+    """Structure is checked by Circuit alone; parse reports its error on
+    the line that declares the signal at fault."""
+
+    @pytest.mark.parametrize("text, line", [
+        # duplicates: the second definition in file order
+        (".inputs x y x\n.outputs y\n.end\n", 1),
+        (".inputs x\n.outputs o\n.const k 0\n.const k 1\n"
+         ".gate buf o x\n.end\n", 4),
+        (".inputs x\n.outputs o\n.gate buf o x\n.gate inv o x\n.end\n", 4),
+        (".gate buf x y\n.inputs x y\n.outputs x\n.end\n", 2),
+        # a mention in .outputs is not a definition
+        (".outputs x\n.inputs x\n.const x 1\n.end\n", 3),
+        # a gate's kind, arity and inputs: the gate's line
+        (".inputs x\n.outputs o\n.gate mux o x x\n.end\n", 3),
+        (".inputs x\n.outputs o\n.gate and o x ghost\n.end\n", 3),
+        # an undefined output: its .outputs line
+        (".inputs x\n.outputs o y\n.gate buf o x\n.end\n", 2),
+        # Circuit's order, not the file's: gates before outputs
+        (".inputs x\n.outputs y\n.gate and o x ghost\n.end\n", 3),
+        # a cycle: the line of the gate Circuit names
+        (".inputs x\n.outputs a\n.gate and a x b\n.gate and b x a\n.end\n",
+         3),
+    ])
+    def test_circuit_message_on_the_declaring_line(self, text, line):
+        with pytest.raises(CircuitError) as want:
+            Circuit(*declared(text))
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.reason == str(want.value)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text, line, reason", [
+        (".inputs x\n.outputs o\n.gate and o x ghost\n.gate and p 1x x\n"
+         ".end\n", 4, "invalid name '1x'"),
+        (".inputs x x\n.outputs x\n", 3, ".end missing"),
+    ])
+    def test_syntax_errors_come_before_structural_ones(self, text, line,
+                                                        reason):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.reason) == (line, reason)
 
 
 class TestSerialize:

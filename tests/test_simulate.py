@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -339,3 +340,27 @@ class TestExports:
         assert len(doc["signals"]) == len(stats.rows)
         assert doc["signals"][-1]["signal"] == "y"
         assert doc["order_used"] == [0, 1, 2, 3]
+
+
+class TestRecursionLimit:
+    def test_only_a_manager_deeper_than_the_limit_raises_it(self):
+        """The kernel recurses once per level, so a manager whose levels
+        fit under the limit leaves it alone; a deeper one raises it, and
+        the inversion of an AND chain over every level then recurses
+        through all of them."""
+        saved = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)
+            Manager(100)
+            assert sys.getrecursionlimit() == 1000
+            n = 1100
+            gates = [Gate("buf", f"g{n - 1}", (f"x{n - 1}",))]
+            gates += [Gate("and", f"g{i}", (f"x{i}", f"g{i + 1}"))
+                      for i in reversed(range(n - 1))]
+            gates.append(Gate("inv", "o", ("g0",)))
+            c = Circuit(tuple(f"x{i}" for i in range(n)), ("o",), gates)
+            result = simulate(c)
+            assert sys.getrecursionlimit() > 1000
+            assert result.stats.per_signal_size["o"] == n
+        finally:
+            sys.setrecursionlimit(saved)
