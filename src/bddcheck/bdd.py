@@ -473,10 +473,11 @@ class Manager:
         stack = [u for u in set(roots) if u not in seen]
         seen.update(stack)
         add = seen.add
+        pop = stack.pop
         push = stack.append
-        # a node is marked when it is pushed, so none is pushed twice;
-        # the list grows while it is read
-        for u in stack:
+        # a node is marked when it is pushed, so none is pushed twice
+        while stack:
+            u = pop()
             v = high[u]
             if v not in seen:
                 add(v)

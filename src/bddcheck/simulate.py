@@ -11,9 +11,7 @@ A signal is *live* from its definition until its last consumer gate
 has been simulated; inputs and outputs stay live to the end of the run.
 ``live_nodes`` is the number of internal nodes reachable from the live
 signals, tracked incrementally; ``peak_live`` is its maximum over the
-rows, so an aborted run reports the peak of the rows it recorded.  The
-walk that makes a signal live also gives the signal's size when it stops
-at no more than one live node; ``Manager.size`` measures the others.
+rows, so an aborted run reports the peak of the rows it recorded.
 """
 
 from __future__ import annotations
@@ -89,100 +87,55 @@ class _LiveTracker:
     ``_refs[v]`` counts root slots on ``v`` plus reachable parents of
     ``v``; a node is live while its count is positive.  ``_refs`` is a
     list indexed by handle that grows with the arena.  The terminals
-    start at 1 and are skipped as children, so they are never counted or
-    walked.  Adding or removing a root costs one traversal of the nodes
-    whose reachability actually changes: a child's count is updated
-    where its parent is visited, and only a child that changes state is
-    visited.  The walk of an add also measures the new root when it can
-    (see :meth:`add`).
+    start at 1, so they are never counted or walked.  Adding or removing
+    a root costs one traversal of the nodes whose reachability actually
+    changes: a child's count is updated where its parent is visited,
+    and only a child that changes state is pushed.
     """
 
     def __init__(self, mgr: Manager):
         # the arena lists grow in place, so binding them once is safe
         self._high = mgr._high
         self._low = mgr._low
-        self._size = mgr.size
-        self._sizes = mgr._sizes
         self._refs = [1, 1]
         self.live = 0
 
-    def add(self, ref: int) -> int | None:
-        """Add a root slot on ``ref``; return the size of ``ref`` if the
-        walk tells it, else ``None``.
+    def shift(self, ref: int, d: int):
+        """Add a root slot on ``ref`` (``d = 1``) or remove one (``d = -1``).
 
-        The walk visits the nodes that ``ref`` reaches and that were not
-        live; it stops at the live ones, and every other node of ``ref``
-        is one of theirs.  So when it stops at no more than one internal
-        node, the size of ``ref`` is the number of nodes it visited plus
-        the size of that node, and the manager's size memo records it.
+        A node changes state when its count reaches 1 on an add or 0 on
+        a remove; only such a node adds ``d`` to ``live`` and passes the
+        step on to its children.
         """
         refs = self._refs
         high = self._high
         if len(refs) < len(high):
             refs.extend([0] * (len(high) - len(refs)))
-        c = refs[ref]
-        refs[ref] = c + 1
-        if c:
-            return None
-        low = self._low
-        changed = [ref]
-        push = changed.append
-        met = []                         # children that were live already
-        meet = met.append
-        for u in changed:                # the list grows while it is read
-            v = high[u]
-            if v > 1:
-                c = refs[v]
-                refs[v] = c + 1
-                if c:
-                    meet(v)
-                else:
-                    push(v)
-            v = low[u]
-            if v > 1:
-                c = refs[v]
-                refs[v] = c + 1
-                if c:
-                    meet(v)
-                else:
-                    push(v)
-        n = len(changed)
-        self.live += n
-        if met:
-            # a node made live by this walk is met again by its other parents
-            stops = set(met).difference(changed)
-            if len(stops) > 1:
-                return None
-            if stops:
-                n += self._size(stops.pop())
-        self._sizes[ref] = n
-        return n
-
-    def remove(self, ref: int):
-        """Remove a root slot from ``ref``."""
-        refs = self._refs
-        c = refs[ref] - 1
+        turn = 1 if d > 0 else 0
+        c = refs[ref] + d
         refs[ref] = c
-        if c:
+        if c != turn:
             return
-        high = self._high
         low = self._low
-        changed = [ref]
-        push = changed.append
-        for u in changed:                # the list grows while it is read
+        live = self.live + d
+        stack = [ref]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            u = pop()
             v = high[u]
-            if v > 1:
-                c = refs[v] - 1
-                refs[v] = c
-                if not c:
-                    push(v)
+            c = refs[v] + d
+            refs[v] = c
+            if c == turn:
+                live += d
+                push(v)
             v = low[u]
-            if v > 1:
-                c = refs[v] - 1
-                refs[v] = c
-                if not c:
-                    push(v)
-        self.live -= len(changed)
+            c = refs[v] + d
+            refs[v] = c
+            if c == turn:
+                live += d
+                push(v)
+        self.live = live
 
 
 def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
@@ -205,7 +158,6 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     stats = SimStats(order_used=tuple(order), input_count=n,
                      node_limit=node_limit)
     rows = stats.rows
-    row = rows.append
     tracker = _LiveTracker(mgr) if track_live else None
     if tracker:
         # one use per gate still to read the signal, and one that never
@@ -215,43 +167,41 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
         uses.update(circuit.outputs)
         uses.update(s for g in circuit.gates for s in g.inputs)
 
+    def define(name, ref):
+        bdds[name] = ref
+        if tracker and uses[name]:
+            tracker.shift(ref, 1)
+
     signal = None
     try:
         for i, signal in enumerate(circuit.inputs):
-            ref = bdds[signal] = mgr.var(i)
-            if tracker:
-                tracker.add(ref)
-            row(SignalRow(len(rows), signal, "input", 1, 0,
-                          tracker.live if tracker else None, 0))
+            define(signal, mgr.var(i))
+            rows.append(SignalRow(len(rows), signal, "input", 1, 0,
+                                  tracker.live if tracker else None, 0))
         for signal, bit in circuit.constants:
-            ref = bdds[signal] = ONE if bit else ZERO
-            if tracker and uses[signal]:
-                tracker.add(ref)
-            row(SignalRow(len(rows), signal, "const", 0, 0,
-                          tracker.live if tracker else None, 0))
+            define(signal, ONE if bit else ZERO)
+            rows.append(SignalRow(len(rows), signal, "const", 0, 0,
+                                  tracker.live if tracker else None, 0))
 
-        base = stats.created_baseline = mgr.created_count
-        apply, ite, size = mgr.apply, mgr.ite, mgr.size
+        stats.created_baseline = mgr.created_count
         for gate in topological_order(circuit):
-            signal, kind, inputs = gate.output, gate.kind, gate.inputs
-            if kind == "mux":
-                sel, else_in, then_in = inputs
-                result = ite(bdds[sel], bdds[then_in], bdds[else_in])
+            signal = gate.output
+            ins = [bdds[s] for s in gate.inputs]
+            if gate.kind == "mux":
+                sel, else_b, then_b = ins
+                result = mgr.ite(sel, then_b, else_b)
             else:
-                result = apply(kind, [bdds[s] for s in inputs])
-            bdds[signal] = result
-            known = None                 # the size, if the tracker tells it
+                result = mgr.apply(gate.kind, ins)
+            define(signal, result)
             if tracker:
-                if uses[signal]:
-                    known = tracker.add(result)
-                for s in inputs:
+                for s in gate.inputs:
                     uses[s] -= 1
                     if not uses[s]:
-                        tracker.remove(bdds[s])
-            row(SignalRow(len(rows), signal, kind,
-                          size(result) if known is None else known,
-                          mgr.created_count - base,
-                          tracker.live if tracker else None, mgr.ite_calls))
+                        tracker.shift(bdds[s], -1)
+            rows.append(SignalRow(
+                len(rows), signal, gate.kind, mgr.size(result),
+                mgr.created_count - stats.created_baseline,
+                tracker.live if tracker else None, mgr.ite_calls))
     except CapacityError:
         stats.completed = False
         stats.failing_signal = signal

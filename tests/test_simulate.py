@@ -170,27 +170,6 @@ class TestLiveness:
                         if r.signal in kept or last_read.get(r.signal, -1) > k]
                 assert row.live_nodes == len(res.manager.reachable(live))
 
-    def test_sizes_match_a_recount_with_and_without_tracking(self):
-        # the walk that makes a signal live gives most sizes when the
-        # tracker runs; Manager.size gives the rest, and all of them
-        # without it
-        for seed in range(12):
-            c = random_dag_circuit(6, 30, seed=seed, n_outputs=4)
-            res = simulate(c)
-            plain = simulate(c, track_live=False)
-            for row, other in zip(res.stats.rows, plain.stats.rows):
-                ref = res.signal_bdds[row.signal]
-                assert row.size == other.size == len(res.manager.reachable(ref))
-
-    def test_tree_sizes_come_from_the_live_walk(self):
-        # each walk of a tree gate stops at one live internal node at most
-        for seed in range(6):
-            c = random_tree_circuit(64, seed=seed)
-            res = simulate(c)
-            assert res.manager.size_walked == 0
-            assert (res.stats.per_signal_size
-                    == simulate(c, track_live=False).stats.per_signal_size)
-
     def test_tracking_can_be_disabled(self):
         res = simulate(two_and_two_or(), track_live=False)
         assert res.stats.peak_live is None
