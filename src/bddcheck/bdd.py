@@ -428,15 +428,25 @@ class Manager:
             raise ValueError("value must be 0 or 1")
         target = self._level_of[index]
         level, high, low = self._level, self._high, self._low
-        r = {ZERO: ZERO, ONE: ONE}
-        for u in self.reachable(f):              # children first
-            if level[u] > target:
-                r[u] = u
-            elif level[u] == target:
+        # only the nodes at or above the variable's level are collected;
+        # a node below it (a terminal too) maps to itself
+        above = set()
+        stack = [f]
+        while stack:
+            u = stack.pop()
+            if level[u] <= target and u not in above:
+                above.add(u)
+                if level[u] < target:
+                    stack.append(high[u])
+                    stack.append(low[u])
+        r = {}
+        for u in sorted(above):                  # children first
+            if level[u] == target:
                 r[u] = high[u] if value else low[u]
             else:
-                r[u] = self._make(level[u], r[high[u]], r[low[u]])
-        return r[f]
+                h, lo = high[u], low[u]
+                r[u] = self._make(level[u], r.get(h, h), r.get(lo, lo))
+        return r.get(f, f)
 
     def eval(self, f: int, assignment: Mapping[int, int] | Sequence[int]) -> int:
         """Follow high/low edges under ``assignment`` to a terminal.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bddcheck import CapacityError, Manager, ONE, ZERO
+from bddcheck.generators import random_bdd
 from bddcheck.oracle import bdd_function_table
 
 
@@ -248,6 +249,41 @@ class TestCofactorEvalSizeSupport:
                 restricted = list(a)
                 restricted[i] = v
                 assert brute_eval(m, r, a) == brute_eval(m, f, restricted)
+
+    def test_cofactor_makes_what_the_recursive_restriction_makes(self):
+        def restrict(m, u, target, value, memo):
+            if m.level(u) > target:
+                return u
+            if u not in memo:
+                if m.level(u) == target:
+                    memo[u] = m.high(u) if value else m.low(u)
+                else:
+                    memo[u] = m.make(m.var_index(u),
+                                     restrict(m, m.high(u), target, value, memo),
+                                     restrict(m, m.low(u), target, value, memo))
+            return memo[u]
+
+        for seed in range(20):
+            n = 3 + seed % 5
+            order = list(reversed(range(n))) if seed % 2 else None
+            m, twin = Manager(n, order), Manager(n, order)
+            f, g = random_bdd(m, seed), random_bdd(twin, seed)
+            for i in range(n):
+                for v in (0, 1):
+                    made, twin_made = m.created_count, twin.created_count
+                    r = m.cofactor(f, i, v)
+                    s = restrict(twin, g, twin.level_of_var(i), v, {})
+                    assert (m.created_count - made
+                            == twin.created_count - twin_made)
+                    assert bdd_function_table(m, r) == bdd_function_table(twin, s)
+
+    def test_cofactor_on_the_top_variable_makes_nothing(self):
+        m = Manager(6)
+        f = random_bdd(m, seed=4)
+        made = m.created_count
+        assert m.cofactor(f, m.var_index(f), 1) == m.high(f)
+        assert m.cofactor(f, m.var_index(f), 0) == m.low(f)
+        assert m.created_count == made
 
     def test_eval_terminals(self):
         m = Manager(1)
