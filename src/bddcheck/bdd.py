@@ -10,7 +10,9 @@ Synthesis goes through the ternary ``ite`` operator,
 ``ite(f, g, h) = (f AND g) OR (NOT f AND h)``.  Negation is
 ``ite(f, 0, 1)``; there are no complement edges.  The manager never
 frees nodes and never reorders, so ``created_count`` and ``ite_calls``
-are faithful monotone instruments for size and work measurements.
+(the triples the kernel expanded) are faithful monotone instruments for
+size and work measurements.  The kernel keeps its own stack rather than
+recursing, so no depth of the order touches the recursion limit.
 
 Each ``ite`` call normalises its triple once, at entry (Brace, Rudell
 and Bryant, DAC 1990, in the forms that hold without complement
@@ -38,7 +40,6 @@ it cannot.
 from __future__ import annotations
 
 import operator
-import sys
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError
@@ -63,9 +64,9 @@ class Manager:
     Counters:
 
     - ``created_count``: internal nodes ever created (monotone).
-    - ``ite_calls``: ``ite`` entries that were answered neither by a
-      terminal case, nor by the normalisation at entry, nor by the
-      computed table, i.e. entries that actually recursed.
+    - ``ite_calls``: triples the kernel expanded, i.e. ``ite`` entries
+      and branches answered neither by a terminal case, nor by the
+      normalisation at entry, nor by the computed table.
     - ``size_walked``: nodes that ``size`` walks added to their node
       sets, counted once per walk (see ``size``).
 
@@ -106,16 +107,8 @@ class Manager:
         self._sizes = {}                             # ref -> size(ref)
         self._walked = ZERO                          # root of the last size walk
         self._reach = set()                          # its internal nodes
-        self._rec, self._count, self._unlink = self._kernel()
+        self._rec, self._count = self._kernel()
         self.size_walked = 0
-        # the ite kernel recurses one frame per level; raise the limit
-        # only when that depth does not fit under it from here (frames
-        # counted by hand: importing traceback adds 2 MB to peak RSS)
-        frame, need = sys._getframe(), var_count + 200
-        while frame is not None:
-            frame, need = frame.f_back, need + 1
-        if need > sys.getrecursionlimit():
-            sys.setrecursionlimit(need)
 
     @property
     def created_count(self) -> int:
@@ -124,7 +117,7 @@ class Manager:
 
     @property
     def ite_calls(self) -> int:
-        """``ite`` entries that recursed, counted by the kernel."""
+        """Triples the ``ite`` kernel expanded."""
         return self._count()
 
     # -- node accessors -------------------------------------------------
@@ -220,7 +213,7 @@ class Manager:
         if f == 0:
             return h
         # standard triples, normalised once here rather than at every
-        # step of the recursion
+        # step of the kernel
         if g == f:
             g = ONE
         elif h == f:
@@ -256,13 +249,14 @@ class Manager:
         return self._rec(f, g, h)
 
     def _kernel(self):
-        """The ite recursion over this manager's tables, built once.
+        """The ite kernel over this manager's tables, built once.
 
         Returns ``rec``, which takes a triple that is no terminal case,
-        a function that reads how many calls recursed, and one that
-        unlinks ``rec`` from itself.  ``rec`` refers to itself through
-        its closure and to nothing that refers to the manager, so once
-        unlinked it is freed with the manager.
+        and a function that reads how many triples it expanded.  Frames
+        are ``(key, lvl, t, f0, g0, h0)``, ``t`` -1 while the then branch
+        is pending.  As in a recursion, the then branch is finished before
+        the else branch, and a branch gets a frame only when it is neither
+        terminal nor in the computed table, so handles and counters match.
         """
         # the arena lists grow in place; binding them once is safe
         cache = self._cache
@@ -274,6 +268,8 @@ class Manager:
         unique_get = unique.get
         span = self._span
         limit = self.node_limit
+        full_msg = f"node limit of {limit} reached"
+        stack = []
         calls = 0
 
         def rec(f, g, h):
@@ -282,76 +278,92 @@ class Manager:
             r = cache_get(key)
             if r is not None:
                 return r
-            calls += 1
-            lvl = lf = level[f]
-            lg = level[g]
-            lh = level[h]
-            if lg < lvl:
-                lvl = lg
-            if lh < lvl:
-                lvl = lh
-            if lf == lvl:
-                f1, f0 = high[f], low[f]
-            else:
-                f1 = f0 = f
-            if lg == lvl:
-                g1, g0 = high[g], low[g]
-            else:
-                g1 = g0 = g
-            if lh == lvl:
-                h1, h0 = high[h], low[h]
-            else:
-                h1 = h0 = h
-            # the terminal cases of a branch are answered here rather
-            # than by a call
-            if f1 == 1 or g1 == h1:
-                t = g1
-            elif f1 == 0:
-                t = h1
-            elif g1 == 1 and h1 == 0:
-                t = f1
-            else:
-                t = rec(f1, g1, h1)
-            if f0 == 1 or g0 == h0:
-                e = g0
-            elif f0 == 0:
-                e = h0
-            elif g0 == 1 and h0 == 0:
-                e = f0
-            else:
-                e = rec(f0, g0, h0)
-            if t == e:
-                r = t
-            else:
-                # _make, inlined: the kernel makes most of the nodes
-                ukey = (lvl * span + t) * span + e
-                r = unique_get(ukey)
-                if r is None:
-                    r = len(level)
-                    if r >= span:
-                        raise CapacityError(
-                            f"node limit of {limit} reached", limit)
-                    level.append(lvl)
-                    high.append(t)
-                    low.append(e)
-                    unique[ukey] = r
-            cache[key] = r
-            return r
+            try:
+                while True:
+                    # expand (f, g, h), which the table does not hold
+                    calls += 1
+                    lvl = lf = level[f]
+                    lg = level[g]
+                    lh = level[h]
+                    if lg < lvl:
+                        lvl = lg
+                    if lh < lvl:
+                        lvl = lh
+                    if lf == lvl:
+                        f1, f0 = high[f], low[f]
+                    else:
+                        f1 = f0 = f
+                    if lg == lvl:
+                        g1, g0 = high[g], low[g]
+                    else:
+                        g1 = g0 = g
+                    if lh == lvl:
+                        h1, h0 = high[h], low[h]
+                    else:
+                        h1 = h0 = h
+                    if f1 == 1 or g1 == h1:
+                        t = g1
+                    elif f1 == 0:
+                        t = h1
+                    elif g1 == 1 and h1 == 0:
+                        t = f1
+                    else:
+                        k = (f1 * span + g1) * span + h1
+                        t = cache_get(k)
+                        if t is None:
+                            stack.append((key, lvl, -1, f0, g0, h0))
+                            f, g, h = f1, g1, h1
+                            key = k  # four targets would build a tuple
+                            continue
+                    while True:
+                        # the else branch of the frame in (key, lvl, t)
+                        if f0 == 1 or g0 == h0:
+                            e = g0
+                        elif f0 == 0:
+                            e = h0
+                        elif g0 == 1 and h0 == 0:
+                            e = f0
+                        else:
+                            k = (f0 * span + g0) * span + h0
+                            e = cache_get(k)
+                            if e is None:
+                                stack.append((key, lvl, t, f0, g0, h0))
+                                f, g, h = f0, g0, h0
+                                key = k
+                                break
+                        while True:
+                            # the frame's node, handed to the frame below
+                            if t == e:
+                                r = t
+                            else:
+                                # _make inlined: the kernel makes most nodes
+                                ukey = (lvl * span + t) * span + e
+                                r = unique_get(ukey)
+                                if r is None:
+                                    r = len(level)
+                                    if r >= span:
+                                        raise CapacityError(full_msg, limit)
+                                    level.append(lvl)
+                                    high.append(t)
+                                    low.append(e)
+                                    unique[ukey] = r
+                            cache[key] = r
+                            if not stack:
+                                return r
+                            key, lvl, t, f0, g0, h0 = stack.pop()
+                            if t < 0:
+                                t = r
+                                break
+                            e = r
+            except BaseException:
+                # frames of an aborted call must not reach the next one
+                stack.clear()
+                raise
 
         def count():
             return calls
 
-        def unlink():
-            nonlocal rec
-            rec = None
-
-        return rec, count, unlink
-
-    def __del__(self):
-        # absent when __init__ failed before building the kernel
-        unlink = self.__dict__.get("_unlink")
-        if unlink is not None:
-            unlink()
+        return rec, count
 
     def inv(self, f: int) -> int:
         self._check_ref(f)
@@ -428,19 +440,9 @@ class Manager:
             raise ValueError("value must be 0 or 1")
         target = self._level_of[index]
         level, high, low = self._level, self._high, self._low
-        # only the nodes at or above the variable's level are collected;
-        # a node below it (a terminal too) maps to itself
-        above = set()
-        stack = [f]
-        while stack:
-            u = stack.pop()
-            if level[u] <= target and u not in above:
-                above.add(u)
-                if level[u] < target:
-                    stack.append(high[u])
-                    stack.append(low[u])
+        # a node below the variable's level (a terminal too) maps to itself
         r = {}
-        for u in sorted(above):                  # children first
+        for u in sorted(self._above(f, target)):     # children first
             if level[u] == target:
                 r[u] = high[u] if value else low[u]
             else:
@@ -487,7 +489,7 @@ class Manager:
         push = stack.append
         # a node is marked when it is pushed, so none is pushed twice
         while stack:
-            u = pop()
+            u = stack.pop()
             v = high[u]
             if v not in seen:
                 add(v)
@@ -558,28 +560,25 @@ class Manager:
         return n
 
     def depends_on(self, f: int, index: int) -> bool:
-        """Whether variable ``index`` is in the support of ``f``.
-
-        Only nodes above the variable's level are walked: a node below
-        it cannot reach a node that tests it.
-        """
+        """Whether variable ``index`` is in the support of ``f``."""
         self._check_ref(f)
         target = self.level_of_var(index)
         level = self._level
-        high = self._high
-        low = self._low
-        seen = set()
+        return any(level[u] == target for u in self._above(f, target))
+
+    def _above(self, f, target):
+        """Nodes reachable from ``f`` at or above level ``target``."""
+        level, high, low = self._level, self._high, self._low
+        above = set()
         stack = [f]
         while stack:
             u = stack.pop()
-            lvl = level[u]
-            if lvl == target:
-                return True
-            if lvl < target and u not in seen:
-                seen.add(u)
-                stack.append(high[u])
-                stack.append(low[u])
-        return False
+            if level[u] <= target and u not in above:
+                above.add(u)
+                if level[u] < target:
+                    stack.append(high[u])
+                    stack.append(low[u])
+        return above
 
     def support(self, f: int) -> set[int]:
         """Variable indices tested by nodes reachable from ``f``."""

@@ -138,6 +138,7 @@ def _cmd_simulate(args) -> int:
         try:
             cfg = PolyBoundConfig(args.poly_degree, args.poly_coeff,
                                   args.poly_gap)
+            cfg.bound(len(circuit.inputs))
         except ValueError as exc:
             raise BddCheckError(f"poly bound: {exc}") from None
     try:

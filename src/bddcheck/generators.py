@@ -143,10 +143,6 @@ def array_multiplier(bits: int = 16) -> Circuit:
         for pos in range(bits):
             x = adds[pos]
             y = row[pos] if pos < len(row) else None
-            if y is None and carry is None:
-                s, carry = x, None
-                new_row.append(s)
-                continue
             if y is None:
                 s, carry = half_adder(x, carry)
             elif carry is None:
@@ -154,8 +150,7 @@ def array_multiplier(bits: int = 16) -> Circuit:
             else:
                 s, carry = full_adder(x, y, carry)
             new_row.append(s)
-        if carry is not None:
-            new_row.append(carry)
+        new_row.append(carry)
         outputs.append(new_row[0])
         row = new_row[1:]
     outputs.extend(row)

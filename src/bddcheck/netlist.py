@@ -1,6 +1,7 @@
 """Line-based netlist format: the package's only circuit persistence layer.
 
-Grammar (one directive per line, lowercase, ``#`` starts a comment)::
+Grammar (one directive per line, lowercase, ``#`` starts a comment that
+runs to the end of the line)::
 
     .inputs NAME...
     .outputs NAME...
@@ -46,8 +47,8 @@ def parse(text: str) -> Circuit:
     end_seen = False
     lines = text.split("\n")
     for ln, raw in enumerate(lines, 1):
-        stripped = raw.rstrip("\r").strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = raw.partition("#")[0].strip()
+        if not stripped:
             continue
         if end_seen:
             raise ParseError("content after .end", ln)

@@ -17,6 +17,7 @@ rows, so an aborted run reports the peak of the rows it recorded.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from numbers import Real
@@ -216,6 +217,11 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
 
 # -- poly-bound monitor ----------------------------------------------------
 
+# past this, coefficient * n**degree is no float; the slack of 1 leaves
+# the bounds near the limit to the exact computation
+_LOG_MAX = math.log(sys.float_info.max) + 1
+
+
 @dataclass
 class PolyBoundConfig:
     """Size bound ``coefficient * n**degree`` checked every ``gate_gap`` gates."""
@@ -232,6 +238,25 @@ class PolyBoundConfig:
         if not math.isfinite(self.coefficient):
             # a NaN bound would pass every size
             raise ValueError("coefficient must be finite")
+
+    def bound(self, n: int) -> Real:
+        """``coefficient * n**degree``, which must be a finite float.
+
+        Its magnitude is checked from logarithms before the power is
+        computed, so a degree far too large fails at once rather than
+        after a long integer power.
+        """
+        c, d = self.coefficient, self.degree
+        if c == 0:
+            return c                             # c * n**d, at any degree
+        if n <= 1 or math.log(abs(c)) + d * math.log(n) <= _LOG_MAX:
+            try:
+                b = c * n ** d
+                if math.isfinite(b):
+                    return b
+            except OverflowError:                # an int past the floats
+                pass
+        raise ValueError(f"bound {c} * {n}**{d} is not a finite float")
 
 
 @dataclass
@@ -262,7 +287,7 @@ def check_poly_bound(stats: SimStats, cfg: PolyBoundConfig,
     """
     if n is None:
         n = stats.input_count
-    bound = cfg.coefficient * n ** cfg.degree
+    bound = cfg.bound(n)
     gate_rows = [r for r in stats.rows if r.kind not in ("input", "const")]
     outputs = outputs or set()
     sampled = [row for k, row in enumerate(gate_rows, 1)

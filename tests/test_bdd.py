@@ -3,6 +3,7 @@ the measured cost bounds."""
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -431,8 +432,8 @@ class TestDumpAndCapacity:
                 random_node(m, rng, pool)
 
     def test_kernel_is_freed_with_the_manager(self):
-        # the kernel closure refers to itself; the manager unlinks it, so
-        # the tables do not wait for the cycle collector
+        # the kernel closure refers neither to itself nor to the manager,
+        # so the tables do not wait for the cycle collector
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -444,6 +445,36 @@ class TestDumpAndCapacity:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_capacity_abort_in_a_deep_ite_leaves_the_manager_usable(self):
+        n = 50
+        m = Manager(n, node_limit=n + 15)
+        chain = [m.make(n - 1, ONE, ZERO)]              # x_i AND ... AND x_n-1
+        for i in reversed(range(n - 1)):
+            chain.append(m.make(i, chain[-1], ZERO))
+        sub = chain[4]
+        earlier = m.inv(sub)
+        assert m.size(earlier) == 5
+        with pytest.raises(CapacityError):
+            m.inv(chain[-1])                             # n - 5 levels to make
+        m.clear_computed_cache()
+        created = m.created_count
+        assert m.inv(sub) == earlier
+        assert m.created_count == created
+
+    def test_ite_deeper_than_the_recursion_limit(self):
+        n = 200000
+        limit = sys.getrecursionlimit()
+        m = Manager(n)
+        f = m.make(n - 1, ONE, ZERO)
+        for i in reversed(range(n - 1)):
+            f = m.make(i, f, ZERO)
+        g = m.inv(f)                                     # one ite, n levels deep
+        assert m.size(g) == n
+        r = m.cofactor(g, n - 1, 1)
+        assert m.size(r) == n - 1
+        assert m.depends_on(g, n - 1) and not m.depends_on(r, n - 1)
+        assert sys.getrecursionlimit() == limit
 
     def test_node_limit_must_be_an_integer(self):
         with pytest.raises(TypeError):

@@ -1,14 +1,33 @@
 """BDD-to-MUX expansion and the node-for-node round trip."""
 
 import random
+import re
 
 import pytest
 
 from bddcheck import (BddCheckError, Circuit, Gate, Manager, ONE, bddcircuit,
                       circuit_truth_table, copy_bdd, expand_mux,
                       expand_to_circuit, roundtrip_verify)
+from bddcheck.cli import main
 from bddcheck.generators import random_bdd
 from bddcheck.oracle import bdd_function_table
+
+
+def widen_root_gates(mgr, roots, mode, var_names):
+    """The expansion with the first root's inverter and AND gates turned
+    into XORs, each reading what it read before (the inverter also reads
+    another input): all three signals outgrow their round-trip bounds."""
+    c, signals = expand_to_circuit(mgr, roots, mode, var_names)
+    producers = c.producers()
+    a0, a1 = producers[signals[roots[0]]].inputs
+    ns = producers[a0].inputs[0]
+    sel = producers[a1].inputs[0]
+    other = next(x for x in c.inputs if x != sel)
+    reads = {ns: (sel, other), a0: producers[a0].inputs,
+             a1: producers[a1].inputs}
+    gates = tuple(Gate("xor", g.output, reads[g.output])
+                  if g.output in reads else g for g in c.gates)
+    return Circuit(c.inputs, c.outputs, gates, c.constants), signals
 
 
 def or_bdd():
@@ -177,6 +196,30 @@ class TestRoundtrip:
         checks = {(v.node, v.check) for v in report.violations}
         assert (f, "then_independent") in checks
         assert (f, "node_identity") in checks
+
+    def test_gate_size_violations_are_reported(self, monkeypatch):
+        m = Manager(3)
+        x0, x1, x2 = (m.var(i) for i in range(3))
+        f = m.ite(x0, m.apply("and", [x1, x2]), m.apply("or", [x1, x2]))
+        monkeypatch.setattr(bddcircuit, "expand_to_circuit", widen_root_gates)
+        report = roundtrip_verify(m, [f], "gates")
+        checks = {(v.node, v.check) for v in report.violations}
+        assert {(f, "and_else"), (f, "and_then"),
+                (f, "inverter_size")} <= checks
+
+    def test_cli_text_report_lists_the_violations(self, tmp_path, monkeypatch,
+                                                  capsys):
+        net = tmp_path / "f.net"
+        net.write_text(".inputs x0 x1 x2\n.outputs y\n.gate and a x1 x2\n"
+                       ".gate or o x1 x2\n.gate mux y x0 o a\n.end\n")
+        monkeypatch.setattr(bddcircuit, "expand_to_circuit", widen_root_gates)
+        assert main(["expand-bdd", str(net), "--mode", "gates", "--format",
+                     "text", "--out", str(tmp_path / "x.net")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("roundtrip: FAIL")
+        checks = {re.fullmatch(r"  node \d+ signal \S+: (\w+) .*", line)[1]
+                  for line in lines[1:]}
+        assert {"and_else", "and_then", "inverter_size"} <= checks
 
     def test_report_json_shape(self):
         m, f = or_bdd()

@@ -1,13 +1,16 @@
 """Command line: exit codes, report artifacts, reproducibility."""
 
 import json
+import time
 
 import pytest
 
-from bddcheck import (bddcircuit, cli, evaluate_circuit, is_tree, parse,
-                      roundtrip_verify, serialize, simulate)
+from bddcheck import (bddcircuit, circuit_truth_table, cli, evaluate_circuit,
+                      is_tree, parse, roundtrip_verify, serialize, simulate,
+                      tables_equal)
 from bddcheck.cli import main
-from bddcheck.generators import array_multiplier, mutate_gate
+from bddcheck.generators import (array_multiplier, mutate_gate,
+                                 random_tree_circuit)
 from bddcheck.simulate import CSV_HEADER
 
 AND_NET = ".inputs x1 x2\n.outputs y\n.gate and y x1 x2\n.end\n"
@@ -77,6 +80,25 @@ class TestVerify:
         cex = doc["counterexample"]
         assert evaluate_circuit(left, cex) != evaluate_circuit(right, cex)
 
+    def test_both_sides_declaring_constants_agree_with_the_oracle(
+            self, files, capsys):
+        left = parse(".inputs a b s\n.outputs y\n.const one 1\n.const zero 0\n"
+                     ".gate mux m s zero one\n.gate and t a m\n"
+                     ".gate or y t b\n.end\n")
+        right = parse(".inputs a b s\n.outputs y\n.const one 1\n"
+                      ".gate and m s one\n.gate and t m a\n"
+                      ".gate or y b t\n.end\n")
+        for other in [right] + [mutate_gate(right, seed=k) for k in range(4)]:
+            same, _ = tables_equal(circuit_truth_table(left),
+                                   circuit_truth_table(other))
+            code = main(["verify", files("l.net", serialize(left)),
+                         files("r.net", serialize(other))])
+            assert code == (0 if same else 1)
+            cex = json.loads(capsys.readouterr().out)["counterexample"]
+            if not same:
+                assert evaluate_circuit(left, cex) != evaluate_circuit(other,
+                                                                       cex)
+
     def test_text_format(self, files, capsys):
         left = files("l.net", AND_NET)
         right = files("r.net", OR_NET)
@@ -108,6 +130,14 @@ class TestSimulate:
         assert last[1] == "y"
         assert int(last[3]) == 4        # linear-size output for the tree
         assert int(last[4]) == 4        # gate processing created n nodes
+
+    def test_csv_poly_bound_goes_to_stderr(self, files, capsys):
+        net = files("t.net", TREE_NET)
+        assert main(["simulate", net, "--format", "csv",
+                     "--poly-degree", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(CSV_HEADER + "\n")
+        assert captured.err == "poly_bound: pass (bound 4.0, 3 signals checked)\n"
 
     def test_json_poly_bound_pass(self, files, capsys):
         net = files("t.net", TREE_NET)
@@ -156,6 +186,24 @@ class TestSimulate:
         order = tmp_path / "order.txt"
         order.write_text("a a b c\n")
         assert main(["simulate", net, "--order", f"file:{order}"]) == 3
+
+
+    @pytest.mark.parametrize("inputs, options", [
+        (8, ["--poly-degree", "400", "--format", "text"]),
+        (40, ["--poly-degree", "3000000"]),
+        (8, ["--poly-coeff", "1e308", "--poly-degree", "2"]),
+    ])
+    def test_bound_past_the_floats_is_a_usage_error(self, inputs, options,
+                                                    files, capsys):
+        net = files("tree.net", serialize(random_tree_circuit(inputs, seed=1)))
+        start = time.perf_counter()
+        assert main(["simulate", net] + options) == 3
+        # checked before simulating, and before any long integer power
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: poly bound: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestGenTree:

@@ -1,6 +1,7 @@
 """Netlist format: strict parsing diagnostics and round-trip properties."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,17 @@ class TestParse:
         text = "# header\r\n\r\n.inputs a b\r\n.outputs o\r\n.gate or o a b\r\n.end\r\n"
         c = parse(text)
         assert c.inputs == ("a", "b")
+        c = parse(".inputs a b # two\n.outputs o\n.gate or o a b#x\n.end # done\n")
+        assert c.inputs == ("a", "b")
+        assert c.gates[0].inputs == ("a", "b")
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Netlist format", 1)[1]
+        block = section.split("```\n", 2)[1]
+        c = parse(block)
+        assert c.outputs == ("y",)
+        assert c.gates[-1].inputs == ("sel", "zero", "t")
 
     def test_const_and_mux(self):
         text = (".inputs s d\n.outputs o\n.const zero 0\n"

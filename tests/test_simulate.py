@@ -255,6 +255,23 @@ class TestPolyBound:
         with pytest.raises(ValueError, match="finite"):
             PolyBoundConfig(1, coefficient, 1)
 
+    @pytest.mark.parametrize("degree, coefficient", [
+        (600, 1.0), (600, 1), (10 ** 12, 1.0), (2, 1e308)])
+    def test_bound_past_the_floats_is_rejected(self, degree, coefficient):
+        # 4**600 overflows a float; the huge degree fails before any power
+        stats = simulate(two_and_two_or()).stats
+        with pytest.raises(ValueError, match="not a finite float"):
+            check_poly_bound(stats, PolyBoundConfig(degree, coefficient))
+
+    def test_zero_coefficient_and_small_n_take_any_degree(self):
+        stats = simulate(two_and_two_or()).stats
+        report = check_poly_bound(stats, PolyBoundConfig(10 ** 12, 0.0))
+        assert report.bound == 0.0 and not report.passed
+        assert PolyBoundConfig(10 ** 12, 2.0).bound(1) == 2.0
+        assert PolyBoundConfig(10 ** 12, 2.0).bound(0) == 0.0
+        # the largest power of two a float holds keeps its exact value
+        assert PolyBoundConfig(341, 1.0).bound(8) == 2.0 ** 1023
+
     def test_bdd_circuit_run_passes_with_size_override(self):
         # the linear bound over s + inputs covers every internal signal
         # of a standard-gates expansion of a BDD of size s
@@ -343,16 +360,13 @@ class TestExports:
 
 
 class TestRecursionLimit:
-    def test_only_a_manager_deeper_than_the_limit_raises_it(self):
-        """The kernel recurses once per level, so a manager whose levels
-        fit under the limit leaves it alone; a deeper one raises it, and
-        the inversion of an AND chain over every level then recurses
-        through all of them."""
+    def test_a_manager_deeper_than_the_limit_leaves_it_alone(self):
+        """The kernel keeps its own stack, so the inversion of an AND
+        chain over more levels than the limit has frames runs with the
+        limit as it was."""
         saved = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(1000)
-            Manager(100)
-            assert sys.getrecursionlimit() == 1000
             n = 1100
             gates = [Gate("buf", f"g{n - 1}", (f"x{n - 1}",))]
             gates += [Gate("and", f"g{i}", (f"x{i}", f"g{i + 1}"))
@@ -360,7 +374,7 @@ class TestRecursionLimit:
             gates.append(Gate("inv", "o", ("g0",)))
             c = Circuit(tuple(f"x{i}" for i in range(n)), ("o",), gates)
             result = simulate(c)
-            assert sys.getrecursionlimit() > 1000
+            assert sys.getrecursionlimit() == 1000
             assert result.stats.per_signal_size["o"] == n
         finally:
             sys.setrecursionlimit(saved)
