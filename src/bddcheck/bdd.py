@@ -81,7 +81,8 @@ class Manager:
             raise ValueError("var_count must be non-negative")
         if order is None:
             order = range(var_count)
-        order = list(order)
+        # ints: a bool reads as 0 or 1 in every report, a float fails here
+        order = [operator.index(i) for i in order]
         if sorted(order) != list(range(var_count)):
             raise ValueError(f"order is not a permutation of 0..{var_count - 1}")
         self.var_count = var_count

@@ -156,7 +156,7 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     mgr = Manager(n, order, node_limit=node_limit)      # checks the order
 
     bdds: dict[str, int] = {}
-    stats = SimStats(order_used=tuple(order), input_count=n,
+    stats = SimStats(order_used=tuple(mgr.var_order()), input_count=n,
                      node_limit=node_limit)
     rows = stats.rows
     tracker = _LiveTracker(mgr) if track_live else None

@@ -54,6 +54,14 @@ class TestManagerConstruction:
         with pytest.raises(ValueError):
             Manager(3, [0, 1])
 
+    def test_order_entries_are_integers(self):
+        m = Manager(2, [True, False])
+        assert m.var_order() == [1, 0]
+        assert all(type(i) is int for i in m.var_order())
+        # floats pass the permutation check and would fail inside it
+        with pytest.raises(TypeError):
+            Manager(2, [1.0, 0.0])
+
 
 class TestVar:
     def test_var_is_canonical(self):

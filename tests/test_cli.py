@@ -1,9 +1,13 @@
 """Command line: exit codes, report artifacts, reproducibility."""
 
+import io
 import json
 import time
+import types
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bddcheck import (bddcircuit, circuit_truth_table, cli, evaluate_circuit,
                       is_tree, parse, roundtrip_verify, serialize, simulate,
@@ -433,6 +437,55 @@ class TestReports:
         assert doc["violations"] == [{"node": 7, "signal": "n7",
                                       "check": "node_identity",
                                       "detail": "d"}]
+
+
+# the last of these is the boundary between two records at depth 2
+text = st.one_of(st.text(max_size=6),
+                 st.sampled_from(["a\nb", '"\\', "\u00e9\u2028",
+                                  '},\n      {"']))
+scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                   st.sampled_from([1e300, -1e300, -2.5, -0.0]), text)
+# records hold scalars or an empty list; several slices at 3 per write
+records = st.lists(st.dictionaries(text, scalar | st.just([]), max_size=4),
+                   max_size=8)
+documents = st.recursive(
+    scalar | records,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(text, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    """JSON reports have the bytes of ``json.dump(doc, fh, indent=2)``."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(documents)
+    def test_same_text_as_json_dumps(self, doc):
+        out = io.StringIO()
+        with mock.patch.object(cli, "RECORDS_PER_WRITE", 3):
+            cli._write_json(out.write, doc, 0)
+        assert out.getvalue() == json.dumps(doc, indent=2)
+
+    def test_simulate_rows_over_several_slices(self, tmp_path):
+        net = tmp_path / "tree.net"
+        net.write_text(serialize(random_tree_circuit(1500, seed=4)))
+        out = tmp_path / "report.json"
+        assert main(["simulate", str(net), "--format", "json",
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert len(doc["signals"]) > 2 * cli.RECORDS_PER_WRITE
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    def test_rows_are_written_a_slice_at_a_time(self):
+        stats = simulate(random_tree_circuit(1500, seed=4)).stats
+        doc = cli.stats_to_json(stats)
+        writes = []
+        cli._emit(doc, None, types.SimpleNamespace(write=writes.append))
+        assert "".join(writes) == json.dumps(doc, indent=2) + "\n"
+        assert max(w.count("topo_index") for w in writes) \
+            == cli.RECORDS_PER_WRITE
 
 
 class TestSingleExpansion:

@@ -1,5 +1,6 @@
 """Symbolic simulation: instrumentation, liveness, bound monitor, probe."""
 
+import json
 import math
 import random
 import sys
@@ -77,6 +78,10 @@ class TestSimulate:
         res = simulate(single_and(), order=[1, 0])
         assert res.stats.order_used == (1, 0)
         assert res.manager.level_of_var(1) == 0
+
+    def test_boolean_order_is_reported_as_integers(self):
+        stats = simulate(single_and(), order=[True, False]).stats
+        assert json.dumps(stats_to_json(stats)["order_used"]) == "[1, 0]"
 
     def test_created_after_is_monotone(self):
         for seed in range(6):
