@@ -6,17 +6,16 @@ one-to-one expansion of BDDs into multiplexer netlists.
 """
 
 from .bdd import DEFAULT_NODE_LIMIT, Manager, ONE, ZERO
-from .bddcircuit import (RoundtripReport, copy_bdd, expand_to_circuit,
-                         roundtrip_verify)
-from .circuit import (CV_TABLE, Circuit, Gate, GATE_KINDS,
-                      decompose_multi_input, dfs_variable_order, expand_mux,
-                      fanout_counts, is_tree, topological_order)
+from .bddcircuit import RoundtripReport, expand_to_circuit, roundtrip_verify
+from .circuit import (Circuit, Gate, GATE_KINDS, decompose_multi_input,
+                      dfs_variable_order, expand_mux, fanout_counts, is_tree,
+                      topological_order)
 from .equivalence import (ABORTED, EQUIVALENT, NOT_EQUIVALENT, VerifyOutcome,
                           build_miter, check_equivalence,
                           extract_counterexample)
 from .errors import (BddCheckError, CapacityError, CircuitError,
                      InterfaceError, ParseError)
-from .netlist import load, parse, save, serialize
+from .netlist import load, parse, serialize
 from .oracle import (TruthTable, bdd_function_table, circuit_truth_table,
                      evaluate_circuit, tables_equal)
 from .simulate import (PolyBoundConfig, PolyBoundReport, SimResult, SimStats,
@@ -31,7 +30,6 @@ __all__ = [
     "CapacityError",
     "Circuit",
     "CircuitError",
-    "CV_TABLE",
     "DEFAULT_NODE_LIMIT",
     "EQUIVALENT",
     "Gate",
@@ -55,7 +53,6 @@ __all__ = [
     "check_equivalence",
     "check_poly_bound",
     "circuit_truth_table",
-    "copy_bdd",
     "decompose_multi_input",
     "dfs_variable_order",
     "evaluate_circuit",
@@ -67,7 +64,6 @@ __all__ = [
     "load",
     "parse",
     "roundtrip_verify",
-    "save",
     "serialize",
     "simulate",
     "stats_to_csv",

@@ -152,6 +152,7 @@ class Manager:
         return self._low[f]
 
     def level_of_var(self, index: int) -> int:
+        index = operator.index(index)
         if not 0 <= index < self.var_count:
             raise ValueError(f"variable index {index} out of range")
         return self._level_of[index]
@@ -181,9 +182,7 @@ class Manager:
 
     def var(self, index: int) -> int:
         """Canonical node for the projection function of variable ``index``."""
-        if not 0 <= index < self.var_count:
-            raise ValueError(f"variable index {index} out of range")
-        return self._make(self._level_of[index], ONE, ZERO)
+        return self._make(self.level_of_var(index), ONE, ZERO)
 
     def make(self, index: int, high: int, low: int) -> int:
         """Find-or-add a node testing ``index`` with the given successors.
@@ -435,11 +434,9 @@ class Manager:
     def cofactor(self, f: int, index: int, value: int) -> int:
         """Restriction of ``f`` with variable ``index`` fixed to ``value``."""
         self._check_ref(f)
-        if not 0 <= index < self.var_count:
-            raise ValueError(f"variable index {index} out of range")
+        target = self.level_of_var(index)
         if value not in (0, 1):
             raise ValueError("value must be 0 or 1")
-        target = self._level_of[index]
         level, high, low = self._level, self._high, self._low
         # a node below the variable's level (a terminal too) maps to itself
         r = {}
@@ -486,7 +483,6 @@ class Manager:
         stack = [u for u in set(roots) if u not in seen]
         seen.update(stack)
         add = seen.add
-        pop = stack.pop
         push = stack.append
         # a node is marked when it is pushed, so none is pushed twice
         while stack:

@@ -81,16 +81,6 @@ def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
     return circuit, signals
 
 
-def copy_bdd(src: Manager, ref: int, dst: Manager) -> int:
-    """Rebuild a BDD in another manager that uses the same variable order."""
-    if src.var_count != dst.var_count or src.var_order() != dst.var_order():
-        raise ValueError("managers must share the variable order")
-    iso = {0: 0, 1: 1}
-    for u in src.reachable(ref):
-        iso[u] = dst.make(src.var_index(u), iso[src.high(u)], iso[src.low(u)])
-    return iso[ref]
-
-
 @dataclass
 class RoundtripViolation:
     node: int

@@ -18,15 +18,6 @@ from .errors import CircuitError
 
 GATE_KINDS = ("and", "or", "nand", "nor", "xor", "inv", "buf", "mux")
 
-# kind -> (controlling value, non-controlling value); kinds without an
-# entry have no controlling value
-CV_TABLE = {
-    "and": (0, 1),
-    "nand": (0, 1),
-    "or": (1, 0),
-    "nor": (1, 0),
-}
-
 
 @dataclass
 class Gate:
@@ -175,12 +166,10 @@ def _find_cycle_signal(c: Circuit, done) -> str:
     finished = {g.output for i, g in enumerate(c.gates) if done[i]}
     resolved = set(c.inputs) | {n for n, _ in c.constants} | finished
     start = next(g for i, g in enumerate(c.gates) if not done[i])
-    seen = {}
+    seen = set()
     cur = start
-    pos = 0
     while cur.output not in seen:
-        seen[cur.output] = pos
-        pos += 1
+        seen.add(cur.output)
         nxt = next(s for s in cur.inputs if s not in resolved)
         cur = producers[nxt]
     return cur.output

@@ -123,8 +123,3 @@ def serialize(c: Circuit) -> str:
 def load(path) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def save(c: Circuit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(c))

@@ -27,11 +27,6 @@ class TruthTable:
     def bit(self, row: int, po: int = 0) -> int:
         return (self.columns[po] >> row) & 1
 
-    def to_hex(self) -> tuple[str, ...]:
-        """Columns as fixed-width hex strings, for golden files."""
-        width = max(1, (1 << self.n) // 4)
-        return tuple(f"{col:0{width}x}" for col in self.columns)
-
 
 def input_pattern(i: int, n: int) -> int:
     """Mask of variable ``i``'s column over all 2**n assignment rows."""

@@ -7,10 +7,11 @@ line per criterion.
 import random
 import time
 
-from bddcheck import (EQUIVALENT, Manager, NOT_EQUIVALENT, check_equivalence,
-                      circuit_truth_table, decompose_multi_input,
-                      evaluate_circuit, expand_mux, parse, roundtrip_verify,
-                      serialize, simulate, tables_equal, top_variable_probe)
+from bddcheck import (EQUIVALENT, Circuit, Gate, Manager, NOT_EQUIVALENT,
+                      check_equivalence, circuit_truth_table,
+                      decompose_multi_input, evaluate_circuit, expand_mux,
+                      parse, roundtrip_verify, serialize, simulate,
+                      tables_equal, top_variable_probe)
 from bddcheck.cli import main as cli_main
 from bddcheck.generators import (array_multiplier, demorgan_rewrite,
                                  mutate_gate, random_bdd, random_dag_circuit,
@@ -287,3 +288,66 @@ def test_criterion_8_multiplier_blowup_witness(tmp_path, capsys):
     assert text.startswith(CSV_HEADER)
     assert len(lines) > 33          # at least the inputs plus some gates
     assert "capacity abort" in err
+
+
+def gate_work(stats, circuit):
+    """``(ite entries, new nodes, sum of input sizes)`` for each gate row:
+    the counters' increase from the row before, and the bound."""
+    inputs = {g.output: g.inputs for g in circuit.gates}
+    size = stats.per_signal_size
+    return [(row.ite_entries_cum - prev.ite_entries_cum,
+             row.created_cum - prev.created_cum,
+             sum(size[s] for s in inputs[row.signal]))
+            for prev, row in zip(stats.rows, stats.rows[1:])
+            if row.signal in inputs]
+
+
+def and_chain(n):
+    """The left-deep AND chain over n inputs: a tree."""
+    inputs = tuple(f"x{i}" for i in range(n))
+    gates = [Gate("and", "a1", inputs[:2])]
+    for k in range(2, n):
+        gates.append(Gate("and", f"a{k}", (f"a{k - 1}", inputs[k])))
+    return Circuit(inputs, (f"a{n - 1}",), tuple(gates))
+
+
+def test_criterion_9_gate_work_within_operand_sizes():
+    """The time half of the claim, per gate and with zero tolerance: on
+    75 seeded trees under DFS order and on criterion 5's 50 gates-mode
+    round trips, each gate's ite entries and new nodes are each at most
+    the sum of its input signals' sizes.  Per-gate work bounds no total
+    linearly: the left-deep AND chain, a tree, creates n(n-1)/2 nodes.
+    The bound is not vacuous: array_multiplier(6) breaks it."""
+    t0 = time.monotonic()
+    families = {"tree": [], "round-trip": []}
+    for n in (16, 64, 256):
+        for seed in range(25):
+            c = random_tree_circuit(n, seed=seed)
+            families["tree"] += gate_work(simulate(c).stats, c)
+    for case in range(50):
+        m = Manager(12)
+        rep = roundtrip_verify(m, [random_bdd(m, seed=50_000 + case)], "gates")
+        families["round-trip"] += gate_work(rep.stats, rep.circuit)
+    elapsed = time.monotonic() - t0
+    violations = {name: [w for w in work if max(w[:2]) > w[2]]
+                  for name, work in families.items()}
+    exact = {name: sum(max(w[:2]) == w[2] for w in work)
+             for name, work in families.items()}
+    chain_expected = {n: n * (n - 1) // 2 for n in (10, 50, 200)}
+    chain_created = {n: simulate(and_chain(n)).stats.created_total
+                     for n in chain_expected}
+    mult = array_multiplier(6)
+    mult_work = gate_work(simulate(mult).stats, mult)
+    mult_broken = sum(max(w[:2]) > w[2] for w in mult_work)
+    ok = (not any(violations.values()) and chain_created == chain_expected
+          and (mult_broken, len(mult_work)) == (44, 168))
+    report(9, ok,
+           ", ".join(f"{len(families[k])} {k} gates within the bound "
+                     f"({exact[k]} exactly)" for k in families)
+           + f" in {elapsed:.1f}s; AND chain created {chain_created}; "
+           f"array_multiplier(6) breaks it on {mult_broken} of "
+           f"{len(mult_work)} gates")
+    assert not any(violations.values()), {k: v[:5]
+                                          for k, v in violations.items()}
+    assert chain_created == chain_expected
+    assert (mult_broken, len(mult_work)) == (44, 168)

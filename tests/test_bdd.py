@@ -87,6 +87,20 @@ class TestVar:
         with pytest.raises(ValueError):
             m.var(2)
 
+    def test_variable_index_is_checked_as_an_integer(self):
+        # a float passes the range check; it must fail there, not in a
+        # table lookup behind it
+        m = Manager(2)
+        x0 = m.var(0)
+        not_int = "'float' object cannot be interpreted as an integer"
+        with pytest.raises(TypeError, match=not_int):
+            m.var(1.0)
+        with pytest.raises(TypeError, match=not_int):
+            m.cofactor(x0, 0.0, 1)
+        with pytest.raises(ValueError, match="variable index 2 out of range"):
+            m.cofactor(x0, 2, 1)
+        assert m.var(True) == m.var(1)
+
 
 class TestIteTerminalCases:
     def test_ite_true_returns_then(self):

@@ -6,8 +6,8 @@ import re
 import pytest
 
 from bddcheck import (BddCheckError, Circuit, Gate, Manager, ONE, bddcircuit,
-                      circuit_truth_table, copy_bdd, expand_mux,
-                      expand_to_circuit, roundtrip_verify)
+                      circuit_truth_table, expand_mux, expand_to_circuit,
+                      roundtrip_verify)
 from bddcheck.cli import main
 from bddcheck.generators import random_bdd
 from bddcheck.oracle import bdd_function_table
@@ -114,22 +114,6 @@ class TestExpand:
         m, f = or_bdd()
         with pytest.raises(ValueError):
             expand_to_circuit(m, [f], "nonsense")
-
-
-class TestCopy:
-    def test_copy_is_canonical_in_target(self):
-        m = Manager(5)
-        f = random_bdd(m, seed=7)
-        dst = Manager(5)
-        c1 = copy_bdd(m, f, dst)
-        c2 = copy_bdd(m, f, dst)
-        assert c1 == c2
-        assert bdd_function_table(dst, c1) == bdd_function_table(m, f)
-
-    def test_copy_requires_same_order(self):
-        m = Manager(3)
-        with pytest.raises(ValueError):
-            copy_bdd(m, m.var(0), Manager(3, [2, 1, 0]))
 
 
 class TestRoundtrip:

@@ -2,21 +2,12 @@
 
 import pytest
 
-from bddcheck import (Circuit, CircuitError, CV_TABLE, Gate, build_miter,
+from bddcheck import (Circuit, CircuitError, Gate, build_miter,
                       circuit_truth_table, decompose_multi_input,
                       dfs_variable_order, expand_mux, fanout_counts, is_tree,
                       tables_equal, topological_order)
 from bddcheck.circuit import _validate
 from bddcheck.generators import random_dag_circuit
-
-
-def test_controlling_value_table():
-    assert CV_TABLE["and"] == (0, 1)
-    assert CV_TABLE["nand"] == (0, 1)
-    assert CV_TABLE["or"] == (1, 0)
-    assert CV_TABLE["nor"] == (1, 0)
-    for kind in ("xor", "mux", "inv", "buf"):
-        assert kind not in CV_TABLE
 
 
 def two_and_two_or():

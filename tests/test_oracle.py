@@ -60,10 +60,6 @@ class TestTables:
         with pytest.raises(ValueError):
             circuit_truth_table(c, cap=4)
 
-    def test_hex_dump_shape(self):
-        c = Circuit(("x1", "x2"), ("y",), (Gate("or", "y", ("x1", "x2")),))
-        assert circuit_truth_table(c).to_hex() == ("e",)
-
 
 class TestTablesEqual:
     def test_table_equals_itself(self):
