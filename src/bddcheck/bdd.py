@@ -506,6 +506,13 @@ class Manager:
             self._check_ref(r)
         return sorted(self._nodes(roots))
 
+    def nodes(self, roots: int | Iterable[int]) -> list[tuple[int, int, int, int]]:
+        """``(u, var_index(u), high(u), low(u))`` for each node of
+        ``reachable(roots)``, in the same order; only the roots are checked."""
+        var_at, level, high, low = self._var_at, self._level, self._high, self._low
+        return [(u, var_at[level[u]], high[u], low[u])
+                for u in self.reachable(roots)]
+
     def size(self, f: int) -> int:
         """Number of internal nodes reachable from ``f`` (terminals excluded).
 
@@ -579,10 +586,7 @@ class Manager:
 
     def support(self, f: int) -> set[int]:
         """Variable indices tested by nodes reachable from ``f``."""
-        self._check_ref(f)
-        var_at = self._var_at
-        level = self._level
-        return {var_at[level[u]] for u in self._nodes((f,))}
+        return {i for _, i, _, _ in self.nodes(f)}
 
     def dump(self, roots: int | Iterable[int]) -> str:
         """Reachable internal nodes as ``id var high low`` text lines.

@@ -5,8 +5,9 @@ internal node becomes one MUX whose select is the node's variable,
 whose else-input is the low child's signal and whose then-input is the
 high child's signal; terminals become constant signals.  Shared nodes
 become shared signals, so the generated circuit is a DAG with fanout,
-not a tree.  In ``gates`` mode every MUX is further expanded into the
-standard inverter/AND/AND/OR realization by ``circuit.expand_mux``.
+not a tree.  In ``gates`` mode each node is emitted directly as the
+inverter/AND/AND/OR realization of its MUX, by the helper
+``circuit.mux_gates`` that ``circuit.expand_mux`` shares.
 
 ``roundtrip_verify`` symbolically simulates the generated circuit under
 the manager's own order, ``mgr.var_order()``, so a simulated node tests
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .bdd import DEFAULT_NODE_LIMIT, Manager, ONE, ZERO
-from .circuit import Circuit, Gate, expand_mux, fresh_name
+from .circuit import Circuit, Gate, fresh_name, mux_gates
 from .errors import BddCheckError
 from .simulate import SimStats, simulate
 
@@ -32,7 +33,8 @@ MODES = ("mux", "gates")
 def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
                       var_names: Mapping[int, str] | Sequence[str] | None = None,
                       ) -> tuple[Circuit, dict[int, str]]:
-    """Map the BDDs under ``roots`` into a circuit, one MUX per node.
+    """Map the BDDs under ``roots`` into a circuit, one MUX per node; in
+    ``gates`` mode the k-th node's four gates are gates 4k to 4k+3.
 
     Variable ``i`` is input ``i`` of the circuit, named ``x{i}`` or
     ``var_names[i]``; a variable without a name is a configuration
@@ -45,7 +47,7 @@ def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
     roots = list(roots)
     if not roots:
         raise ValueError("need at least one root")
-    nodes = mgr.reachable(roots)
+    nodes = mgr.nodes(roots)
 
     inputs = []
     for i in range(mgr.var_count):
@@ -58,26 +60,20 @@ def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
     if len(taken) != len(inputs):
         raise BddCheckError("duplicate input names")
 
-    used = set(roots)
-    for u in nodes:
-        used.add(mgr.low(u))
-        used.add(mgr.high(u))
     signals = {}
     for t in (ZERO, ONE):
-        if t in used:
+        if t in roots or any(t in (hi, lo) for _, _, hi, lo in nodes):
             signals[t] = fresh_name(f"const{t}", taken)
-    for u in nodes:
+    for u, _, _, _ in nodes:
         signals[u] = fresh_name(f"n{u}", taken)
 
-    gates = tuple(Gate("mux", signals[u],
-                       (inputs[mgr.var_index(u)], signals[mgr.low(u)],
-                        signals[mgr.high(u)]))
-                  for u in nodes)        # ascending handles: children first
+    gates = []
+    for u, var, hi, lo in nodes:         # ascending handles: children first
+        mux = Gate("mux", signals[u], (inputs[var], signals[lo], signals[hi]))
+        gates += mux_gates(mux, taken) if mode == "gates" else [mux]
     outputs = tuple(signals[r] for r in roots)
     constants = tuple((signals[t], t) for t in (ZERO, ONE) if t in signals)
     circuit = Circuit(tuple(inputs), outputs, gates, constants)
-    if mode == "gates":
-        circuit = expand_mux(circuit)
     return circuit, signals
 
 
@@ -125,47 +121,42 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
                    track_live=False)
     sim = res.manager
     sizes = res.stats.per_signal_size
-    producers = circuit.producers()
 
     iso = {0: 0, 1: 1}
     violations = []
-    max_size = 0
-    for u, sig in signals.items():           # ascending handles
-        if u in iso:
-            continue                         # a terminal
-        var = mgr.var_index(u)
-        iso[u] = sim.make(var, iso[mgr.high(u)], iso[mgr.low(u)])
+    for k, (u, var, hi, lo) in enumerate(mgr.nodes(roots)):
+        iso[u] = sim.make(var, iso[hi], iso[lo])
+        sig = signals[u]
         got = res.signal_bdds[sig]
-        sz = sizes[sig]
-        max_size = max(max_size, sz)
         if got != iso[u]:
             violations.append(RoundtripViolation(
                 u, sig, "node_identity",
                 f"signal rebuilds to {got}, expected canonical {iso[u]}"))
         if mode == "gates":
-            # the node's OR gate reads (and(ns, else), and(sel, then))
-            a0_sig, a1_sig = producers[sig].inputs
-            ns_sig = producers[a0_sig].inputs[0]
-            for check, name, child in (("and_else", a0_sig, mgr.low(u)),
-                                       ("and_then", a1_sig, mgr.high(u))):
+            # holds while expand_to_circuit emits the k-th node's
+            # inverter, AND gates and OR, in that order, as gates 4k..4k+3
+            ns_sig, a0_sig, a1_sig = (g.output for g in
+                                      circuit.gates[4 * k:4 * k + 3])
+            for check, name, child in (("and_else", a0_sig, lo),
+                                       ("and_then", a1_sig, hi)):
                 bsz = sizes[name]
-                max_size = max(max_size, bsz)
                 limit = sim.size(iso[child]) + 1
                 if bsz > limit:
                     violations.append(RoundtripViolation(
                         u, name, check, f"size {bsz} exceeds child+1 = {limit}"))
             nsz = sizes[ns_sig]
-            max_size = max(max_size, nsz)
             if nsz != 1:
                 violations.append(RoundtripViolation(
                     u, ns_sig, "inverter_size", f"size {nsz}, expected 1"))
-            for check, child in (("else_independent", mgr.low(u)),
-                                 ("then_independent", mgr.high(u))):
+            for check, child in (("else_independent", lo),
+                                 ("then_independent", hi)):
                 data_sig = signals[child]
                 if sim.depends_on(res.signal_bdds[data_sig], var):
                     violations.append(RoundtripViolation(
                         u, data_sig, check,
                         f"data input depends on select variable {var}"))
+    # every internal signal is the output of one gate
+    max_size = max((sizes[g.output] for g in circuit.gates), default=0)
     return RoundtripReport(not violations, mode, len(iso) - 2, max_size,
                            res.stats.created_total, violations, res.stats,
                            circuit)

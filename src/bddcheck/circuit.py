@@ -278,25 +278,28 @@ def decompose_multi_input(c: Circuit) -> Circuit:
     return Circuit(c.inputs, c.outputs, gates, c.constants)
 
 
-def expand_mux(c: Circuit) -> Circuit:
-    """Replace every MUX by its standard gate realization.
-
-    ``mux(s, g, h)`` becomes ``inv(s) -> ns``, ``and(ns, g)``,
-    ``and(s, h)`` and a final ``or``, computing ``(NOT s AND g) OR
-    (s AND h)``.
+def mux_gates(g: Gate, taken: set[str]) -> list[Gate]:
+    """The standard realization of the MUX gate ``g = mux(s, e, t)``:
+    ``inv(s) -> ns``, ``and(ns, e) -> a0``, ``and(s, t) -> a1`` and
+    ``or(a0, a1) -> g.output``, in that order.  The three new names are
+    claimed from ``taken``.
     """
+    sel, else_in, then_in = g.inputs
+    ns = fresh_name(f"{g.output}__ns", taken)
+    a0 = fresh_name(f"{g.output}__a0", taken)
+    a1 = fresh_name(f"{g.output}__a1", taken)
+    return [Gate("inv", ns, (sel,)), Gate("and", a0, (ns, else_in)),
+            Gate("and", a1, (sel, then_in)), Gate("or", g.output, (a0, a1))]
+
+
+def expand_mux(c: Circuit) -> Circuit:
+    """Replace every MUX by its standard gate realization, :func:`mux_gates`,
+    the helper through which ``bddcircuit`` emits its ``gates`` mode."""
     taken = set(c.signals)
     gates = []
     for g in c.gates:
-        if g.kind != "mux":
+        if g.kind == "mux":
+            gates += mux_gates(g, taken)
+        else:
             gates.append(Gate(g.kind, g.output, g.inputs))
-            continue
-        sel, else_in, then_in = g.inputs
-        ns = fresh_name(f"{g.output}__ns", taken)
-        a0 = fresh_name(f"{g.output}__a0", taken)
-        a1 = fresh_name(f"{g.output}__a1", taken)
-        gates.append(Gate("inv", ns, (sel,)))
-        gates.append(Gate("and", a0, (ns, else_in)))
-        gates.append(Gate("and", a1, (sel, then_in)))
-        gates.append(Gate("or", g.output, (a0, a1)))
     return Circuit(c.inputs, c.outputs, gates, c.constants)

@@ -264,6 +264,8 @@ def _cmd_gen_tree(args) -> int:
 
 def _cmd_expand_bdd(args) -> int:
     circuit = _load(args.circuit)
+    if not circuit.outputs:                  # no BDD to expand, in any order
+        raise BddCheckError("circuit has no outputs")
     order = _resolve_order(args.order, circuit)
     try:
         res = simulate(circuit, order, node_limit=args.capacity,

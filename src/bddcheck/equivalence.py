@@ -112,13 +112,13 @@ def extract_counterexample(mgr: Manager, f: int) -> list[int]:
         raise BddCheckError("function is constant 0: no witness exists")
     n = mgr.var_count
     best = {ZERO: None, ONE: 0}
-    for u in mgr.reachable(f):
-        w = best[mgr.low(u)]
-        hi = best[mgr.high(u)]
-        if hi is not None:
-            hi |= 1 << (n - 1 - mgr.var_index(u))
-            if w is None or hi < w:
-                w = hi
+    for u, var, hi, lo in mgr.nodes(f):
+        w = best[lo]
+        h = best[hi]
+        if h is not None:
+            h |= 1 << (n - 1 - var)
+            if w is None or h < w:
+                w = h
         best[u] = w
     w = best[f]
     bits = [(w >> (n - 1 - i)) & 1 for i in range(n)]

@@ -110,7 +110,7 @@ def bdd_function_table(mgr, f: int, cap: int = TABLE_CAP) -> int:
     rows = 1 << n
     full = (1 << rows) - 1
     memo = {0: 0, 1: full}
-    for u in mgr.reachable(f):     # ascending handles: children first
-        x = input_pattern(mgr.var_index(u), n)
-        memo[u] = (x & memo[mgr.high(u)]) | ((x ^ full) & memo[mgr.low(u)])
+    for u, var, hi, lo in mgr.nodes(f):     # ascending handles: children first
+        x = input_pattern(var, n)
+        memo[u] = (x & memo[hi]) | ((x ^ full) & memo[lo])
     return memo[f]

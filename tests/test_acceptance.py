@@ -351,3 +351,116 @@ def test_criterion_9_gate_work_within_operand_sizes():
                                           for k, v in violations.items()}
     assert chain_created == chain_expected
     assert (mult_broken, len(mult_work)) == (44, 168)
+
+
+def projections(m, nodes):
+    """Nodes of the form (x, 1, 0): the input's own node, made before
+    the first gate."""
+    return sum(1 for u in nodes if (m.high(u), m.low(u)) == (1, 0))
+
+
+def test_criterion_10_roundtrip_work_linear():
+    """The round trip's total work is linear in the BDD, with zero
+    tolerance: on criterion 5's 50 BDDs, mux mode creates exactly s
+    minus the projection nodes, and gates mode creates and enters at
+    most 3s + |support|.  The multi-root outputs of array_multiplier(4..6)
+    under DFS order are pinned exactly."""
+    # Mux mode: under the BDD's own order, mux(x, low, high) of two
+    # signals below x's level is one ite entry that makes node (x, high,
+    # low), a new node unless it is a projection the inputs already made.
+    # Gates mode: inv(x) is one new node per support variable, and
+    # and(not x, low), and(x, high) and their or are one ite entry and at
+    # most one new node each, three per BDD node.
+    failures = []
+    worst = 0.0
+    for case in range(50):
+        m = Manager(12)
+        root = random_bdd(m, seed=50_000 + case)
+        s = m.size(root)
+        mux = roundtrip_verify(m, [root], "mux")
+        gates = roundtrip_verify(m, [root], "gates")
+        bound = 3 * s + len(m.support(root))
+        work = (gates.created_total, gates.stats.ite_entries_total)
+        if (mux.created_total != s - projections(m, m.reachable(root))
+                or max(work) > bound):
+            failures.append((case, s, mux.created_total, work, bound))
+        worst = max(worst, max(work) / bound)
+    multi = {}
+    for k in (4, 5, 6):
+        c = array_multiplier(k)
+        res = simulate(c, track_live=False)
+        m = res.manager
+        roots = [res.signal_bdds[po] for po in c.outputs]
+        nodes = m.reachable(roots)
+        mux = roundtrip_verify(m, roots, "mux")
+        gates = roundtrip_verify(m, roots, "gates")
+        multi[k] = (len(nodes), projections(m, nodes), mux.created_total,
+                    gates.created_total, gates.stats.ite_entries_total)
+    expected = {4: (178, 7, 171, 383, 383), 5: (578, 9, 569, 1259, 1259),
+                6: (1792, 11, 1781, 3932, 3932)}
+    report(10, not failures and multi == expected,
+           f"50 round trips: mux mode creates s minus the projections, "
+           f"gates mode at most {worst:.2f}x of 3s+|support|; "
+           f"array_multiplier(4..6) (s, projections, mux created, gates "
+           f"created, gates ite entries) = {multi}")
+    assert not failures, failures[:3]
+    assert multi == expected
+
+
+def path_length(c):
+    """L: the sum, over the inputs of a tree, of the gates above each."""
+    leaves = dict.fromkeys(c.inputs, 1)
+    for g in c.gates:                      # the generators declare children first
+        leaves[g.output] = sum(leaves[s] for s in g.inputs)
+    return sum(leaves[s] for g in c.gates for s in g.inputs)
+
+
+def test_criterion_11_tree_totals_within_path_length():
+    """On criterion 9's 75 trees under DFS order, the nodes created and
+    the ite entries of the whole run are each at most the total path
+    length L, with zero tolerance.  The left-deep AND chain creates
+    exactly L - (n-1) nodes, so the bound is tight up to n."""
+    # By criterion 1 a tree signal has one node per input below it, so a
+    # gate's input sizes sum to the input count below it; criterion 9's
+    # per-gate bound, summed over the gates, is L.
+    failures = []
+    worst = 0.0
+    for n in (16, 64, 256):
+        for seed in range(25):
+            c = random_tree_circuit(n, seed=seed)
+            stats = simulate(c).stats
+            work = (stats.created_total, stats.ite_entries_total)
+            length = path_length(c)
+            if max(work) > length:
+                failures.append((n, seed, work, length))
+            worst = max(worst, max(work) / length)
+    chain = {n: (simulate(and_chain(n)).stats.created_total,
+                 path_length(and_chain(n)) - (n - 1)) for n in (10, 50, 200)}
+    exact = all(created == want for created, want in chain.values())
+    report(11, not failures and exact,
+           f"75 trees: nodes created and ite entries at most {worst:.2f}x "
+           f"of L; AND chain (created, L-(n-1)) = {chain}")
+    assert not failures, failures[:3]
+    assert exact, chain
+
+
+def test_criterion_12_multiplier_growth_per_bit():
+    """Product bit k-1 of array_multiplier(k), for k = 4..8, under the
+    DFS order and the declared order: the sizes are pinned exactly and
+    grow at least 2x per bit.  This is a measured curve, not a proof;
+    Bryant (IEEE Trans. Computers, 1991) proves that this bit needs at
+    least 2^(k/8) nodes under every order."""
+    sizes = {"dfs": [], "declared": []}
+    for k in range(4, 9):
+        c = array_multiplier(k)
+        for name, order in (("dfs", None), ("declared", range(2 * k))):
+            stats = simulate(c, order, track_live=False).stats
+            sizes[name].append(stats.per_signal_size[c.outputs[k - 1]])
+    expected = {"dfs": [34, 71, 167, 379, 926],
+                "declared": [41, 97, 236, 567, 1367]}
+    growth = min(b / a for row in sizes.values() for a, b in zip(row, row[1:]))
+    report(12, sizes == expected and growth >= 2,
+           f"product bit k-1 for k = 4..8: {sizes}, at least {growth:.2f}x "
+           f"per bit")
+    assert sizes == expected
+    assert growth >= 2

@@ -348,6 +348,19 @@ class TestCofactorEvalSizeSupport:
         f = m.apply("or", [m.var(1), m.var(3)])
         assert m.support(f) == {1, 3}
 
+    def test_nodes_read_what_the_checked_accessors_read(self):
+        order = list(range(9))
+        random.Random(5).shuffle(order)
+        m = Manager(9, order)
+        roots = [random_bdd(m, seed=seed) for seed in range(3)] + [ONE]
+        assert m.nodes(roots) == [(u, m.var_index(u), m.high(u), m.low(u))
+                                  for u in m.reachable(roots)]
+        assert m.nodes(roots[0]) == m.nodes([roots[0]])
+        assert m.nodes(ZERO) == []
+        for bad in (-1, roots[0] + 10 ** 6, "x"):
+            with pytest.raises(ValueError):
+                m.nodes([roots[0], bad])
+
 
 class TestStructuralInvariants:
     def _walk(self, m, f):

@@ -7,9 +7,9 @@ import pytest
 
 from bddcheck import (BddCheckError, Circuit, Gate, Manager, ONE, bddcircuit,
                       circuit_truth_table, expand_mux, expand_to_circuit,
-                      roundtrip_verify)
+                      roundtrip_verify, simulate)
 from bddcheck.cli import main
-from bddcheck.generators import random_bdd
+from bddcheck.generators import array_multiplier, random_bdd
 from bddcheck.oracle import bdd_function_table
 
 
@@ -109,6 +109,22 @@ class TestExpand:
         m, f = or_bdd()
         circuit, _ = expand_to_circuit(m, [f], "mux", var_names=["p", "q"])
         assert circuit.inputs == ("p", "q")
+
+    def test_gates_mode_is_the_mux_mode_netlist_expanded(self):
+        # the reference for the one-pass expansion: the same inputs,
+        # outputs, constants and gates, in order and name for name
+        cases = []
+        for case in range(50):                   # criterion 5's BDDs
+            m = Manager(12)
+            cases.append((m, [random_bdd(m, seed=50_000 + case)]))
+        mult = array_multiplier(6)
+        res = simulate(mult)
+        cases.append((res.manager, [res.signal_bdds[po] for po in mult.outputs]))
+        for m, roots in cases:
+            gates, signals = expand_to_circuit(m, roots, "gates")
+            mux, mux_signals = expand_to_circuit(m, roots, "mux")
+            assert gates == expand_mux(mux)
+            assert signals == mux_signals
 
     def test_bad_mode(self):
         m, f = or_bdd()

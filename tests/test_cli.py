@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bddcheck.circuit as circuit_module
 from bddcheck import (bddcircuit, circuit_truth_table, cli, evaluate_circuit,
                       is_tree, parse, roundtrip_verify, serialize, simulate,
                       tables_equal)
@@ -253,6 +254,17 @@ class TestExpandBdd:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         assert report["max_internal_size"] <= report["original_size"] + 1
+
+    @pytest.mark.parametrize("order", ["dfs", "declared", "file:{order}"])
+    def test_circuit_without_outputs_is_a_usage_error(self, files, capsys,
+                                                       order):
+        # exit 1 would read as a round-trip violation
+        net = files("n.net", ".inputs a\n.inputs b\n.gate and c a b\n.end\n")
+        order = order.format(order=files("order.txt", "b a\n"))
+        assert main(["expand-bdd", net, "--order", order]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: circuit has no outputs\n"
 
     def test_capacity_abort_in_the_first_simulation(self, files, capsys):
         net = files("t.net", TREE_NET)
@@ -519,6 +531,25 @@ class TestSingleExpansion:
         assert main(["expand-bdd", net, "--mode", mode,
                      "--out", str(tmp_path / "x.net")]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["mux", "gates"])
+    def test_expand_bdd_validates_one_circuit(self, files, tmp_path,
+                                              monkeypatch, mode):
+        reports = self._capture_reports(monkeypatch)
+        validated = []
+        check = circuit_module._validate
+
+        def recording(c):
+            validated.append(c)
+            return check(c)
+
+        monkeypatch.setattr(circuit_module, "_validate", recording)
+        net = files("t.net", TREE_NET)
+        assert main(["expand-bdd", net, "--mode", mode,
+                     "--out", str(tmp_path / "x.net")]) == 0
+        # the netlist read, then the expansion, with no circuit between
+        assert len(validated) == 2
+        assert validated[1] is reports[0].circuit
 
     def test_out_netlist_is_the_verified_circuit(self, files, tmp_path,
                                                  monkeypatch, capsys):
