@@ -254,9 +254,11 @@ class Manager:
         Returns ``rec``, which takes a triple that is no terminal case,
         and a function that reads how many triples it expanded.  Frames
         are ``(key, lvl, t, f0, g0, h0)``, ``t`` -1 while the then branch
-        is pending.  As in a recursion, the then branch is finished before
-        the else branch, and a branch gets a frame only when it is neither
-        terminal nor in the computed table, so handles and counters match.
+        is pending, on a stack that belongs to one call: an aborted call
+        leaves none behind.  As in a recursion, the then branch is
+        finished before the else branch, and a branch gets a frame only
+        when it is neither terminal nor in the computed table, so handles
+        and counters match.
         """
         # the arena lists grow in place; binding them once is safe
         cache = self._cache
@@ -269,7 +271,6 @@ class Manager:
         span = self._span
         limit = self.node_limit
         full_msg = f"node limit of {limit} reached"
-        stack = []
         calls = 0
 
         def rec(f, g, h):
@@ -278,87 +279,83 @@ class Manager:
             r = cache_get(key)
             if r is not None:
                 return r
-            try:
+            stack = []
+            while True:
+                # expand (f, g, h), which the table does not hold
+                calls += 1
+                lvl = lf = level[f]
+                lg = level[g]
+                lh = level[h]
+                if lg < lvl:
+                    lvl = lg
+                if lh < lvl:
+                    lvl = lh
+                if lf == lvl:
+                    f1, f0 = high[f], low[f]
+                else:
+                    f1 = f0 = f
+                if lg == lvl:
+                    g1, g0 = high[g], low[g]
+                else:
+                    g1 = g0 = g
+                if lh == lvl:
+                    h1, h0 = high[h], low[h]
+                else:
+                    h1 = h0 = h
+                if f1 == 1 or g1 == h1:
+                    t = g1
+                elif f1 == 0:
+                    t = h1
+                elif g1 == 1 and h1 == 0:
+                    t = f1
+                else:
+                    k = (f1 * span + g1) * span + h1
+                    t = cache_get(k)
+                    if t is None:
+                        stack.append((key, lvl, -1, f0, g0, h0))
+                        f, g, h = f1, g1, h1
+                        key = k  # four targets would build a tuple
+                        continue
                 while True:
-                    # expand (f, g, h), which the table does not hold
-                    calls += 1
-                    lvl = lf = level[f]
-                    lg = level[g]
-                    lh = level[h]
-                    if lg < lvl:
-                        lvl = lg
-                    if lh < lvl:
-                        lvl = lh
-                    if lf == lvl:
-                        f1, f0 = high[f], low[f]
+                    # the else branch of the frame in (key, lvl, t)
+                    if f0 == 1 or g0 == h0:
+                        e = g0
+                    elif f0 == 0:
+                        e = h0
+                    elif g0 == 1 and h0 == 0:
+                        e = f0
                     else:
-                        f1 = f0 = f
-                    if lg == lvl:
-                        g1, g0 = high[g], low[g]
-                    else:
-                        g1 = g0 = g
-                    if lh == lvl:
-                        h1, h0 = high[h], low[h]
-                    else:
-                        h1 = h0 = h
-                    if f1 == 1 or g1 == h1:
-                        t = g1
-                    elif f1 == 0:
-                        t = h1
-                    elif g1 == 1 and h1 == 0:
-                        t = f1
-                    else:
-                        k = (f1 * span + g1) * span + h1
-                        t = cache_get(k)
-                        if t is None:
-                            stack.append((key, lvl, -1, f0, g0, h0))
-                            f, g, h = f1, g1, h1
-                            key = k  # four targets would build a tuple
-                            continue
+                        k = (f0 * span + g0) * span + h0
+                        e = cache_get(k)
+                        if e is None:
+                            stack.append((key, lvl, t, f0, g0, h0))
+                            f, g, h = f0, g0, h0
+                            key = k
+                            break
                     while True:
-                        # the else branch of the frame in (key, lvl, t)
-                        if f0 == 1 or g0 == h0:
-                            e = g0
-                        elif f0 == 0:
-                            e = h0
-                        elif g0 == 1 and h0 == 0:
-                            e = f0
+                        # the frame's node, handed to the frame below
+                        if t == e:
+                            r = t
                         else:
-                            k = (f0 * span + g0) * span + h0
-                            e = cache_get(k)
-                            if e is None:
-                                stack.append((key, lvl, t, f0, g0, h0))
-                                f, g, h = f0, g0, h0
-                                key = k
-                                break
-                        while True:
-                            # the frame's node, handed to the frame below
-                            if t == e:
-                                r = t
-                            else:
-                                # _make inlined: the kernel makes most nodes
-                                ukey = (lvl * span + t) * span + e
-                                r = unique_get(ukey)
-                                if r is None:
-                                    r = len(level)
-                                    if r >= span:
-                                        raise CapacityError(full_msg, limit)
-                                    level.append(lvl)
-                                    high.append(t)
-                                    low.append(e)
-                                    unique[ukey] = r
-                            cache[key] = r
-                            if not stack:
-                                return r
-                            key, lvl, t, f0, g0, h0 = stack.pop()
-                            if t < 0:
-                                t = r
-                                break
-                            e = r
-            except BaseException:
-                # frames of an aborted call must not reach the next one
-                stack.clear()
-                raise
+                            # _make inlined: the kernel makes most nodes
+                            ukey = (lvl * span + t) * span + e
+                            r = unique_get(ukey)
+                            if r is None:
+                                r = len(level)
+                                if r >= span:
+                                    raise CapacityError(full_msg, limit)
+                                level.append(lvl)
+                                high.append(t)
+                                low.append(e)
+                                unique[ukey] = r
+                        cache[key] = r
+                        if not stack:
+                            return r
+                        key, lvl, t, f0, g0, h0 = stack.pop()
+                        if t < 0:
+                            t = r
+                            break
+                        e = r
 
         def count():
             return calls
@@ -516,10 +513,14 @@ class Manager:
     def size(self, f: int) -> int:
         """Number of internal nodes reachable from ``f`` (terminals excluded).
 
-        Memoised by handle: a node never changes once made.  A node with
-        a terminal child has one node more than its other child, so a
-        run of such nodes is counted without a walk; only a node below
-        the run with two internal children is walked.
+        Memoised by handle: a node never changes once made.  Without
+        complement edges negation maps the node set one to one, so when
+        the computed table names ``~f`` (its ``(f, 0, 1)`` entry) and
+        ``size(~f)`` is memoised, that is the size of ``f``, found
+        without a walk.  A node with a terminal child has one node more
+        than its other child, so a run of such nodes is counted without
+        a walk; only a node below the run with two internal children is
+        walked.
 
         The manager keeps the root of its last walk and that root's
         internal nodes.  When a walked node has that root as a child,
@@ -536,6 +537,8 @@ class Manager:
         self._check_ref(f)
         sizes = self._sizes
         n = sizes.get(f)
+        if n is None:                            # size(~f) == size(f)
+            n = sizes.get(self._cache.get(f * self._span ** 2 + ONE))
         if n is None:
             high = self._high
             low = self._low

@@ -5,9 +5,9 @@ internal node becomes one MUX whose select is the node's variable,
 whose else-input is the low child's signal and whose then-input is the
 high child's signal; terminals become constant signals.  Shared nodes
 become shared signals, so the generated circuit is a DAG with fanout,
-not a tree.  In ``gates`` mode each node is emitted directly as the
-inverter/AND/AND/OR realization of its MUX, by the helper
-``circuit.mux_gates`` that ``circuit.expand_mux`` shares.
+not a tree.  In ``gates`` mode no MUX gate is built: each node is
+emitted as the inverter/AND/AND/OR realization of its MUX, by the
+helper ``circuit.mux_gates`` that ``circuit.expand_mux`` shares.
 
 ``roundtrip_verify`` symbolically simulates the generated circuit under
 the manager's own order, ``mgr.var_order()``, so a simulated node tests
@@ -69,8 +69,9 @@ def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
 
     gates = []
     for u, var, hi, lo in nodes:         # ascending handles: children first
-        mux = Gate("mux", signals[u], (inputs[var], signals[lo], signals[hi]))
-        gates += mux_gates(mux, taken) if mode == "gates" else [mux]
+        ins = (inputs[var], signals[lo], signals[hi])
+        gates += (mux_gates(signals[u], *ins, taken) if mode == "gates"
+                  else [Gate("mux", signals[u], ins)])
     outputs = tuple(signals[r] for r in roots)
     constants = tuple((signals[t], t) for t in (ZERO, ONE) if t in signals)
     circuit = Circuit(tuple(inputs), outputs, gates, constants)

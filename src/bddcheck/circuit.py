@@ -19,7 +19,7 @@ from .errors import CircuitError
 GATE_KINDS = ("and", "or", "nand", "nor", "xor", "inv", "buf", "mux")
 
 
-@dataclass
+@dataclass(slots=True)
 class Gate:
     """One gate: ``kind``, output signal, ordered input signals.
 
@@ -278,28 +278,28 @@ def decompose_multi_input(c: Circuit) -> Circuit:
     return Circuit(c.inputs, c.outputs, gates, c.constants)
 
 
-def mux_gates(g: Gate, taken: set[str]) -> list[Gate]:
-    """The standard realization of the MUX gate ``g = mux(s, e, t)``:
-    ``inv(s) -> ns``, ``and(ns, e) -> a0``, ``and(s, t) -> a1`` and
-    ``or(a0, a1) -> g.output``, in that order.  The three new names are
-    claimed from ``taken``.
+def mux_gates(out: str, sel: str, else_in: str, then_in: str,
+              taken: set[str]) -> list[Gate]:
+    """The standard realization of ``out = mux(sel, else_in, then_in)``:
+    ``inv(sel) -> ns``, ``and(ns, else_in) -> a0``, ``and(sel, then_in)
+    -> a1`` and ``or(a0, a1) -> out``, in that order.  The three new
+    names are claimed from ``taken``.  No MUX gate is built.
     """
-    sel, else_in, then_in = g.inputs
-    ns = fresh_name(f"{g.output}__ns", taken)
-    a0 = fresh_name(f"{g.output}__a0", taken)
-    a1 = fresh_name(f"{g.output}__a1", taken)
+    ns = fresh_name(f"{out}__ns", taken)
+    a0 = fresh_name(f"{out}__a0", taken)
+    a1 = fresh_name(f"{out}__a1", taken)
     return [Gate("inv", ns, (sel,)), Gate("and", a0, (ns, else_in)),
-            Gate("and", a1, (sel, then_in)), Gate("or", g.output, (a0, a1))]
+            Gate("and", a1, (sel, then_in)), Gate("or", out, (a0, a1))]
 
 
 def expand_mux(c: Circuit) -> Circuit:
-    """Replace every MUX by its standard gate realization, :func:`mux_gates`,
-    the helper through which ``bddcircuit`` emits its ``gates`` mode."""
+    """Replace every MUX ``g`` by ``mux_gates(g.output, *g.inputs)``, the
+    standard realization that ``bddcircuit`` emits in ``gates`` mode."""
     taken = set(c.signals)
     gates = []
     for g in c.gates:
         if g.kind == "mux":
-            gates += mux_gates(g, taken)
+            gates += mux_gates(g.output, *g.inputs, taken)
         else:
             gates.append(Gate(g.kind, g.output, g.inputs))
     return Circuit(c.inputs, c.outputs, gates, c.constants)

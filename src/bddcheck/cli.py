@@ -46,14 +46,8 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _provenance(args, **extra) -> dict:
-    cfg = {
-        "command": args.command,
-        "order": getattr(args, "order", None),
-        "capacity": getattr(args, "capacity", None),
-        "seed": getattr(args, "seed", None),
-        "format": getattr(args, "format", None),
-        "mode": getattr(args, "mode", None),
-    }
+    cfg = {k: getattr(args, k, None) for k in
+           ("command", "order", "capacity", "seed", "format", "mode")}
     cfg.update(extra)
     return {
         "tool": "bddcheck",
@@ -276,9 +270,8 @@ def _cmd_expand_bdd(args) -> int:
         return EXIT_CAPACITY
     mgr = res.manager
     roots = [res.signal_bdds[po] for po in circuit.outputs]
-    var_names = dict(enumerate(circuit.inputs))
     try:
-        report = roundtrip_verify(mgr, roots, args.mode, var_names,
+        report = roundtrip_verify(mgr, roots, args.mode, circuit.inputs,
                                   node_limit=args.capacity)
     except SimulationCapacityError as exc:
         sys.stderr.write(

@@ -5,11 +5,14 @@ plain gate-level evaluation over every assignment, packed into int
 bitmasks (bit ``r`` of a column is the value under assignment ``r``,
 where input ``i`` carries bit ``(r >> i) & 1``, so the last-declared
 input is the most significant).  BDD functions are tabulated by a
-structural Shannon walk that never touches the ite machinery.
+structural Shannon walk that never touches the ite machinery.  Past
+:data:`TABLE_CAP` inputs, :func:`random_columns` packs seeded random
+assignments the same way, and both evaluators take those columns.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,6 +39,14 @@ def input_pattern(i: int, n: int) -> int:
     full = (1 << rows) - 1
     # 0..0 1..1 repeating with period 2**(i+1)
     return full // ((1 << period) - 1) * (((1 << chunk) - 1) << chunk)
+
+
+def random_columns(n: int, k: int, seed: int) -> list[int]:
+    """``k`` seeded random assignments of ``n`` inputs, one column per
+    input: bit ``r`` of column ``i`` is input ``i``'s value in assignment
+    ``r``."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(k) for _ in range(n)]
 
 
 def _evaluate(c: Circuit, masks: dict[str, int], full: int) -> list[int]:
@@ -107,10 +118,15 @@ def bdd_function_table(mgr, f: int, cap: int = TABLE_CAP) -> int:
     n = mgr.var_count
     if n > cap:
         raise ValueError(f"{n} variables exceed the truth-table cap of {cap}")
-    rows = 1 << n
-    full = (1 << rows) - 1
+    columns = [input_pattern(i, n) for i in range(n)]
+    return _bdd_columns(mgr, [f], columns, (1 << (1 << n)) - 1)[0]
+
+
+def _bdd_columns(mgr, roots, columns: list[int], full: int) -> list[int]:
+    """The columns of the BDDs ``roots`` when variable ``i`` takes
+    ``columns[i]``; ``full`` has a 1 in every row."""
     memo = {0: 0, 1: full}
-    for u, var, hi, lo in mgr.nodes(f):     # ascending handles: children first
-        x = input_pattern(var, n)
+    for u, var, hi, lo in mgr.nodes(roots):  # ascending handles: children first
+        x = columns[var]
         memo[u] = (x & memo[hi]) | ((x ^ full) & memo[lo])
-    return memo[f]
+    return [memo[f] for f in roots]

@@ -69,17 +69,15 @@ class SimResult:
 class SimulationCapacityError(CapacityError):
     """The manager hit its node limit mid-run.
 
-    Carries the stats gathered so far, the name of the signal being
-    simulated when the limit was hit, and the partial signal map.
+    Carries only the stats gathered so far: the rows recorded, the node
+    limit and the name of the signal being simulated when it was hit.
     """
 
-    def __init__(self, stats: SimStats, signal_bdds, manager):
+    def __init__(self, stats: SimStats):
         super().__init__(
-            f"node limit of {manager.node_limit} reached while simulating "
-            f"signal '{stats.failing_signal}'", manager.node_limit)
+            f"node limit of {stats.node_limit} reached while simulating "
+            f"signal '{stats.failing_signal}'", stats.node_limit)
         self.stats = stats
-        self.signal_bdds = signal_bdds
-        self.manager = manager
 
 
 class _LiveTracker:
@@ -211,7 +209,7 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     stats.ite_entries_total = mgr.ite_calls
     stats.created_total = mgr.created_count - stats.created_baseline
     if not stats.completed:
-        raise SimulationCapacityError(stats, bdds, mgr)
+        raise SimulationCapacityError(stats)
     return SimResult(bdds, stats, mgr)
 
 

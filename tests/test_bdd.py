@@ -693,6 +693,19 @@ class TestSizeMemo:
         h = m.apply("xor", [f, g])
         assert m.size(h) == len(m.reachable(h))
 
+    def test_negation_is_sized_without_a_walk(self):
+        for seed in range(8):
+            rng = random.Random(seed)
+            m = Manager(8, rng.sample(range(8), 8))
+            pool = [m.var(i) for i in range(8)]
+            for _ in range(30):
+                f = random_node(m, rng, pool)
+                m.size(f)
+                g = m.inv(f)
+                walked = m.size_walked
+                assert m.size(g) == len(m.reachable(g))
+                assert m.size_walked == walked
+
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=150)
     @given(st.data())

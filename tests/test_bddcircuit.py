@@ -126,6 +126,20 @@ class TestExpand:
             assert gates == expand_mux(mux)
             assert signals == mux_signals
 
+    def test_gates_mode_constructs_no_mux_gate(self, monkeypatch):
+        kinds = []
+        post_init = Gate.__post_init__
+
+        def record(g):
+            kinds.append(g.kind)
+            post_init(g)
+
+        monkeypatch.setattr(Gate, "__post_init__", record)
+        m, f = or_bdd()
+        circuit, _ = expand_to_circuit(m, [f], "gates")
+        assert sorted(kinds) == sorted(g.kind for g in circuit.gates)
+        assert "mux" not in kinds
+
     def test_bad_mode(self):
         m, f = or_bdd()
         with pytest.raises(ValueError):

@@ -19,6 +19,12 @@ def two_and_two_or():
          Gate("or", "y", ("a", "b"))))
 
 
+def test_gate_has_no_instance_dict():
+    g = Gate("and", "y", ["a", "b"])
+    assert not hasattr(g, "__dict__")
+    assert g.inputs == ("a", "b")
+
+
 class TestValidation:
     def test_duplicate_signal(self):
         with pytest.raises(CircuitError, match="duplicate"):

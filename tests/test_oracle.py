@@ -1,13 +1,32 @@
 """Truth-table oracle: the ground truth the rest of the suite leans on."""
 
+import operator
 import random
+from functools import reduce
 
 import pytest
 
-from bddcheck import (Circuit, Gate, circuit_truth_table, evaluate_circuit,
+from bddcheck import (Circuit, Gate, check_equivalence, circuit_truth_table,
+                      dfs_variable_order, evaluate_circuit, expand_to_circuit,
                       simulate, tables_equal)
-from bddcheck.generators import mutate_gate, random_dag_circuit
-from bddcheck.oracle import bdd_function_table, input_pattern
+from bddcheck.generators import (array_multiplier, demorgan_rewrite,
+                                 mutate_gate, random_dag_circuit,
+                                 random_tree_circuit)
+from bddcheck.oracle import (_bdd_columns, _evaluate, bdd_function_table,
+                             input_pattern, random_columns)
+
+ROWS = 256                          # seeded random assignments per check
+
+
+def agreed_columns(c, res, seed):
+    """The output columns of ``c`` on ``ROWS`` seeded random assignments,
+    once every output BDD of the simulation ``res`` gives the same."""
+    cols = random_columns(len(c.inputs), ROWS, seed)
+    full = (1 << ROWS) - 1
+    want = _evaluate(c, dict(zip(c.inputs, cols)), full)
+    roots = [res.signal_bdds[po] for po in c.outputs]
+    assert _bdd_columns(res.manager, roots, cols, full) == want
+    return want
 
 
 class TestTables:
@@ -131,3 +150,57 @@ class TestCrossModuleAgreement:
             row = rng.randrange(1 << 8)
             a = [(row >> i) & 1 for i in range(8)]
             assert res.manager.eval(res.signal_bdds[po], a) == t.bit(row, 0)
+
+
+class TestRandomAssignments:
+    """Past the truth-table cap: every output BDD of a benchmark-sized
+    input agrees with gate-level evaluation on seeded random assignments."""
+
+    def test_columns_are_seeded(self):
+        cols = random_columns(5, ROWS, seed=1)
+        assert cols == random_columns(5, ROWS, seed=1)
+        assert cols != random_columns(5, ROWS, seed=2)
+        assert len(cols) == 5 and all(x >> ROWS == 0 for x in cols)
+
+    @pytest.mark.parametrize("bits, order", [(8, "dfs"), (7, "declared")])
+    def test_multiplier(self, bits, order):
+        c = array_multiplier(bits)
+        order = None if order == "dfs" else range(len(c.inputs))
+        agreed_columns(c, simulate(c, order), seed=bits)
+
+    def test_trees(self):
+        for seed in range(3):
+            c = random_tree_circuit(1024, seed=seed)
+            agreed_columns(c, simulate(c), seed=seed)
+
+    def test_xor_chain_in_reversed_order(self):
+        n = 4000
+        inputs = tuple(f"x{i}" for i in range(n))
+        chain = list(range(n))
+        random.Random(5).shuffle(chain)
+        gates, acc = [], inputs[chain[0]]
+        for k, i in enumerate(chain[1:], 1):
+            gates.append(Gate("xor", f"t{k}", (acc, inputs[i])))
+            acc = f"t{k}"
+        c = Circuit(inputs, (acc,), tuple(gates))
+        # the input that enters the chain last tests at the top
+        want = agreed_columns(c, simulate(c, chain[::-1]), seed=5)
+        assert want == [reduce(operator.xor, random_columns(n, ROWS, 5))]
+
+    def test_gates_mode_roundtrip_circuit(self):
+        mult = array_multiplier(6)
+        res = simulate(mult)
+        roots = [res.signal_bdds[po] for po in mult.outputs]
+        circuit, _ = expand_to_circuit(res.manager, roots, "gates",
+                                       mult.inputs)
+        sim = simulate(circuit, res.manager.var_order(), track_live=False)
+        assert (agreed_columns(circuit, sim, seed=6)
+                == agreed_columns(mult, res, seed=6))
+
+    def test_mult_verify_pair(self):
+        left = array_multiplier(7)
+        right = demorgan_rewrite(left, seed=7)
+        order = dfs_variable_order(left)
+        assert (agreed_columns(left, simulate(left, order), seed=7)
+                == agreed_columns(right, simulate(right, order), seed=7))
+        assert check_equivalence(left, right, order).verdict == "equivalent"

@@ -194,6 +194,20 @@ class TestCapacity:
         assert stats.rows    # partial trace survives
         assert err.value.node_limit == 10
 
+    def test_abort_holds_only_its_stats(self):
+        c = random_dag_circuit(20, 60, seed=3, kinds=("xor", "and", "or"))
+        full = simulate(c).stats.rows
+        with pytest.raises(SimulationCapacityError) as err:
+            simulate(c, node_limit=40)
+        exc = err.value
+        rows = exc.stats.rows
+        assert len(c.inputs) < len(rows) < len(full)
+        assert rows == full[:len(rows)]          # the partial trace
+        assert str(exc) == ("node limit of 40 reached while simulating "
+                            f"signal '{exc.stats.failing_signal}'")
+        assert not hasattr(exc, "signal_bdds")
+        assert not hasattr(exc, "manager")
+
     def test_partial_stats_cover_prefix(self):
         c = Circuit(("a", "b", "c", "d"), ("o",),
                     (Gate("xor", "t1", ("a", "b")),
