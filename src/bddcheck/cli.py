@@ -59,84 +59,36 @@ def _provenance(args, **extra) -> dict:
 
 
 def _emit(report: str | dict, out_path: str | None, stream=None):
-    """Write a text report, or a JSON document indented by two spaces and
-    ended by a newline, to the file ``out_path`` or else to ``stream``
-    (stdout by default).
+    """Write a text report, or the JSON document ``json.dumps(report,
+    indent=2)`` and a newline, to the file ``out_path`` or else to
+    ``stream`` (stdout by default).
 
-    A document's bytes are those of ``json.dump(report, fh, indent=2)``,
-    but each container of scalars is encoded by one call of the C
-    encoder, and a list of such records (the ``signals`` rows) by one
-    call per :data:`RECORDS_PER_WRITE` records, each written as it is
-    encoded; only the containers that hold containers are walked in
-    Python."""
+    A top-level ``signals`` list must hold only non-empty records of
+    scalars: the rows of :func:`stats_to_json`, one per signal and the only
+    list big enough for ``indent``'s pure-Python encoder to matter.  When
+    it is not empty, ``json.dumps`` gets the document with ``signals`` set
+    to ``None`` and the rows are encoded by one call of the C encoder.
+    Only a top-level key starts a line indented by exactly two spaces, and
+    an encoded string never holds a raw newline, so ``\\n  "signals": null``
+    occurs once in the text; the rows are written in its place."""
     with (open(out_path, "w", encoding="utf-8") if out_path
           else contextlib.nullcontext(stream or sys.stdout)) as fh:
         if isinstance(report, str):
             fh.write(report)
-        else:
-            _write_json(fh.write, report, 0)
-            fh.write("\n")
-
-
-# the types the encoder writes on one line; a container holding nothing
-# else lays out like ``indent=2`` from a single call of ``_encode``
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-RECORDS_PER_WRITE = 1024
-
-
-def _encode(value, depth: int) -> str:
-    """``value`` in one encoder call, its items separated by a newline and
-    the indent of ``depth``."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")
-                            ).encode(value)
-
-
-def _is_record(value) -> bool:
-    return (type(value) is dict and value
-            and _SCALARS.issuperset(map(type, value.values())))
-
-
-def _write_json(write, value, depth: int) -> None:
-    """Write ``value`` as ``json.dump(value, fh, indent=2)`` does, with its
-    closing bracket at ``depth``."""
-    if not value or not isinstance(value, (dict, list, tuple)):
-        write(_encode(value, 0))                # a scalar or empty container
-        return
-    close = "\n" + "  " * depth
-    pad = close + "  "
-    items = value.values() if isinstance(value, dict) else value
-    if _SCALARS.issuperset(map(type, items)):
-        flat = _encode(value, depth + 1)
-        write(flat[0] + pad + flat[1:-1] + close + flat[-1])
-        return
-    sep = pad
-    if isinstance(value, dict):
-        write("{")
-        for key, item in value.items():
-            # the encoder turns a non-string key into a string as json does
-            write(sep + _encode({key: 0}, 0)[1:-4] + ": ")
-            _write_json(write, item, depth + 1)
-            sep = "," + pad
-        write(close + "}")
-        return
-    write("[")
-    inner = pad + "  "
-    for start in range(0, len(value), RECORDS_PER_WRITE):
-        chunk = value[start:start + RECORDS_PER_WRITE]
-        if all(map(_is_record, chunk)):
-            # "[{a,<inner>b},<inner>{c}]": only the record boundaries
-            # need their own lines, and since an encoded string never
-            # holds a raw newline, only a boundary matches
-            body = _encode(chunk, depth + 2)[2:-2].replace(
-                "}," + inner + "{", pad + "}," + pad + "{" + inner)
-            write(sep + "{" + inner + body + pad + "}")
-            sep = "," + pad
-        else:
-            for item in chunk:
-                write(sep)
-                _write_json(write, item, depth + 1)
-                sep = "," + pad
-    write(close + "]")
+            return
+        rows = report.get("signals")
+        text = json.dumps({**report, "signals": None} if rows else report,
+                          indent=2)
+        if rows:
+            head, text = text.split('\n  "signals": null')
+            # "[{a,\n      b},\n      {c}]": only a record boundary matches,
+            # as no scalar ends in "}"
+            body = json.JSONEncoder(separators=(",\n      ", ": ")).encode(
+                rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            fh.write(head + '\n  "signals": [\n    {\n      ')
+            fh.write(body)
+            text = "\n    }\n  ]" + text
+        fh.write(text + "\n")
 
 
 def _resolve_order(source: str, circuit) -> list[int]:

@@ -22,16 +22,13 @@ name, the gate itself, or the ``.outputs`` line of an undefined output.
 
 from __future__ import annotations
 
-import re
-
 from .circuit import Circuit, Gate, GATE_KINDS, topological_order
 from .errors import CircuitError, ParseError
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 def _check_name(name: str, line: int) -> str:
-    if not _NAME_RE.match(name):
+    # exactly [A-Za-z_][A-Za-z0-9_]*
+    if not (name.isascii() and name.isidentifier()):
         raise ParseError(f"invalid name '{name}'", line)
     return name
 

@@ -254,6 +254,13 @@ class PolyBoundConfig:
                     return b
             except OverflowError:                # an int past the floats
                 pass
+            try:
+                # the float product can overflow where the exact one, rounded
+                # once by the int division, does not: 0.5 * 2**1024 is 2**1023
+                num, den = c.as_integer_ratio()
+                return num * n ** d / den
+            except OverflowError:
+                pass
         raise ValueError(f"bound {c} * {n}**{d} is not a finite float")
 
 

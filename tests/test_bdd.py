@@ -40,6 +40,7 @@ class TestManagerConstruction:
         m = Manager(1, [0])
         assert m.created_count == 0
         assert m.unique_table_size() == 0
+        assert repr(m) == "<Manager vars=1 nodes=0 ite_calls=0>"
 
     def test_reversal_order_places_var0_at_bottom(self):
         m = Manager(4, [3, 2, 1, 0])
@@ -47,6 +48,8 @@ class TestManagerConstruction:
         assert m.var_order() == [3, 2, 1, 0]
 
     def test_rejects_non_permutation(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Manager(-1)
         with pytest.raises(ValueError):
             Manager(2, [0, 0])
         with pytest.raises(ValueError):
@@ -547,6 +550,12 @@ class TestDumpAndCapacity:
             m.size(999)
         with pytest.raises(ValueError):
             m.ite(0, 1, -3)
+        for terminal in (ZERO, ONE):
+            for accessor in (m.var_index, m.high, m.low):
+                with pytest.raises(ValueError, match="terminals"):
+                    accessor(terminal)
+        with pytest.raises(ValueError, match="0 or 1"):
+            m.cofactor(m.var(0), 0, 2)
 
 
 class TestMakeAndReachable:

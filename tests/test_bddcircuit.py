@@ -96,6 +96,8 @@ class TestExpand:
         f = m.apply("and", [m.var(0), m.var(1)])
         with pytest.raises(BddCheckError, match="no input name"):
             expand_to_circuit(m, [f], "mux", var_names={0: "a"})
+        with pytest.raises(BddCheckError, match="duplicate input names"):
+            expand_to_circuit(m, [f], "mux", var_names=["a", "a"])
 
     def test_variable_outside_the_support_needs_a_name_too(self):
         # variable i is input i of the circuit, whether f tests it or not
@@ -144,6 +146,8 @@ class TestExpand:
         m, f = or_bdd()
         with pytest.raises(ValueError):
             expand_to_circuit(m, [f], "nonsense")
+        with pytest.raises(ValueError, match="root"):
+            expand_to_circuit(m, [], "mux")
 
 
 class TestRoundtrip:

@@ -142,6 +142,12 @@ class TestIsTree:
     def test_two_level_tree(self):
         ok, violator = is_tree(two_and_two_or())
         assert ok and violator is None
+        # a constant may feed any number of gates
+        c = Circuit(("x1", "x2"), ("y",),
+                    (Gate("and", "a", ("x1", "one")),
+                     Gate("and", "b", ("x2", "one")),
+                     Gate("or", "y", ("a", "b"))), (("one", 1),))
+        assert is_tree(c) == (True, None)
 
     def test_same_input_twice_is_fanout(self):
         c = Circuit(("x1",), ("y",), (Gate("and", "y", ("x1", "x1")),))
@@ -160,6 +166,10 @@ class TestIsTree:
                      Gate("inv", "b", ("a",))))
         ok, violator = is_tree(c)
         assert not ok and violator == "a"
+        # fanout-free, but two outputs: no signal is at fault
+        c = Circuit(("x1", "x2"), ("a", "b"),
+                    (Gate("inv", "a", ("x1",)), Gate("inv", "b", ("x2",))))
+        assert is_tree(c) == (False, None)
 
 
 class TestDfsVariableOrder:
@@ -184,6 +194,10 @@ class TestDfsVariableOrder:
         order = dfs_variable_order(c)
         assert sorted(order) == [0, 1, 2, 3]
         assert order == dfs_variable_order(c)
+
+    def test_no_outputs_is_an_error(self):
+        with pytest.raises(CircuitError, match="no outputs"):
+            dfs_variable_order(Circuit(("x1",), (), ()))
 
 
 class TestDecompose:

@@ -2,9 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import types
-from unittest import mock
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +155,14 @@ class TestSimulate:
         assert doc["poly_bound"]["passed"] is True
         assert doc["poly_bound"]["bound"] == 4.0
 
+    def test_bound_just_inside_the_floats_passes(self, files, capsys):
+        # 0.5 * 2**1024, though 2**1024 is no float
+        net = files("and.net", AND_NET)
+        assert main(["simulate", net, "--poly-degree", "1024",
+                     "--poly-coeff", "0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["poly_bound"]["bound"] == 2.0 ** 1023
+
     def test_capacity_ten_aborts_with_partial_trace(self, files, tmp_path, capsys):
         lines = [".inputs " + " ".join(f"x{i}" for i in range(20)),
                  ".outputs y"]
@@ -294,6 +305,15 @@ class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 3
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0), (["frobnicate"], 3)])
+    def test_module_entry_point_exit_code(self, argv, code):
+        # the benchmark runs the CLI as this module
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "bddcheck.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == code
+
     def test_missing_file(self, capsys):
         assert main(["simulate", "/nonexistent/zz.net"]) == 3
 
@@ -314,6 +334,7 @@ class TestUsage:
         ["simulate", "{net}", "--poly-degree", "1", "--poly-gap", "0"],
         ["simulate", "{net}", "--poly-degree", "-1"],
         ["simulate", "{net}", "--poly-degree", "1", "--poly-coeff", "nan"],
+        ["simulate", "{net}", "--order", "bogus"],
     ])
     def test_invalid_option_value_is_a_usage_error(self, argv, files, capsys):
         # exit 1 would read as "not equivalent"
@@ -451,53 +472,70 @@ class TestReports:
                                       "detail": "d"}]
 
 
-# the last of these is the boundary between two records at depth 2
+# the last two are the line that the rows replace and the boundary
+# between two of them
 text = st.one_of(st.text(max_size=6),
                  st.sampled_from(["a\nb", '"\\', "\u00e9\u2028",
-                                  '},\n      {"']))
+                                  '\n  "signals": null', '},\n      {"']))
 scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                    st.sampled_from([1e300, -1e300, -2.5, -0.0]), text)
-# records hold scalars or an empty list; several slices at 3 per write
-records = st.lists(st.dictionaries(text, scalar | st.just([]), max_size=4),
-                   max_size=8)
-documents = st.recursive(
-    scalar | records,
+values = st.recursive(
+    scalar,
     lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(text, inner, max_size=4)),
+                   | st.dictionaries(text | st.just("signals"), inner,
+                                     max_size=4)),
     max_leaves=30)
+# the rows of a simulate report: non-empty records of scalars
+rows = st.lists(st.dictionaries(text, scalar, min_size=1, max_size=4),
+                max_size=8)
+
+
+@st.composite
+def documents(draw):
+    items = list(draw(st.dictionaries(text, values, max_size=4)).items())
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))),
+                     ("signals", draw(rows)))
+    return dict(items)
 
 
 class TestJsonWriter:
-    """JSON reports have the bytes of ``json.dump(doc, fh, indent=2)``."""
+    """JSON reports have the bytes of ``json.dumps(doc, indent=2)``."""
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
-    @given(documents)
+    @given(documents())
     def test_same_text_as_json_dumps(self, doc):
         out = io.StringIO()
-        with mock.patch.object(cli, "RECORDS_PER_WRITE", 3):
-            cli._write_json(out.write, doc, 0)
-        assert out.getvalue() == json.dumps(doc, indent=2)
+        cli._emit(doc, None, out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
-    def test_simulate_rows_over_several_slices(self, tmp_path):
+    def test_simulate_report_of_a_large_tree(self, tmp_path):
         net = tmp_path / "tree.net"
         net.write_text(serialize(random_tree_circuit(1500, seed=4)))
         out = tmp_path / "report.json"
         assert main(["simulate", str(net), "--format", "json",
                      "--out", str(out)]) == 0
         text = out.read_text()
-        doc = json.loads(text)
-        assert len(doc["signals"]) > 2 * cli.RECORDS_PER_WRITE
-        assert text == json.dumps(doc, indent=2) + "\n"
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
-    def test_rows_are_written_a_slice_at_a_time(self):
+    def test_rows_skip_json_dumps_and_arrive_in_one_write(self, monkeypatch):
         stats = simulate(random_tree_circuit(1500, seed=4)).stats
         doc = cli.stats_to_json(stats)
+        given_signals = []
+
+        def dumps(obj, **kwargs):
+            given_signals.append(obj["signals"])
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(
+            dumps=dumps, JSONEncoder=json.JSONEncoder))
         writes = []
         cli._emit(doc, None, types.SimpleNamespace(write=writes.append))
+        assert given_signals == [None]
         assert "".join(writes) == json.dumps(doc, indent=2) + "\n"
-        assert max(w.count("topo_index") for w in writes) \
-            == cli.RECORDS_PER_WRITE
+        assert max(w.count('"topo_index"') for w in writes) \
+            == len(doc["signals"])
 
 
 class TestSingleExpansion:

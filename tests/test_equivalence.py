@@ -58,6 +58,9 @@ class TestBuildMiter:
                      Gate("or", "y2", ("x1", "x2"))))
         with pytest.raises(InterfaceError, match="output counts"):
             build_miter(and2(), c)
+        none = Circuit(("x1", "x2"), (), ())
+        with pytest.raises(InterfaceError, match="no outputs"):
+            build_miter(none, none)
 
     def test_miter_preserves_shared_input_order(self):
         m = build_miter(and2(), or2())

@@ -2,9 +2,10 @@
 
 import pytest
 
-from bddcheck import circuit_truth_table, fanout_counts, is_tree, serialize
+from bddcheck import (Manager, circuit_truth_table, fanout_counts, is_tree,
+                      serialize)
 from bddcheck.generators import (array_multiplier, demorgan_rewrite,
-                                 mutate_gate, random_dag_circuit,
+                                 mutate_gate, random_bdd, random_dag_circuit,
                                  random_tree_circuit)
 from bddcheck.oracle import tables_equal
 
@@ -34,6 +35,15 @@ class TestTreeGenerator:
     def test_negative_depth_is_rejected(self):
         with pytest.raises(ValueError, match="depth"):
             random_tree_circuit(8, depth=-1)
+
+
+def test_sizes_below_the_smallest_are_rejected():
+    with pytest.raises(ValueError, match="one input"):
+        random_dag_circuit(0, 1)
+    with pytest.raises(ValueError, match="2 bits"):
+        array_multiplier(1)
+    with pytest.raises(ValueError, match="one variable"):
+        random_bdd(Manager(2), variables=[])
 
 
 class TestDagGenerator:

@@ -89,9 +89,12 @@ class TestParse:
         assert "unknown gate kind" in str(err.value)
 
     def test_invalid_name(self):
-        with pytest.raises(ParseError) as err:
-            parse(".inputs 1x\n.end\n")
-        assert "invalid name" in str(err.value)
+        # ASCII identifiers, keywords included, are the valid names
+        assert parse(".inputs _ a1 if\n.end\n").inputs == ("_", "a1", "if")
+        for name in ("1x", "1a", "\u00e9", "a-b"):
+            with pytest.raises(ParseError) as err:
+                parse(f".inputs {name}\n.end\n")
+            assert str(err.value).endswith(f"invalid name '{name}'")
 
     def test_missing_end(self):
         with pytest.raises(ParseError) as err:

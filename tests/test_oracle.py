@@ -6,14 +6,16 @@ from functools import reduce
 
 import pytest
 
-from bddcheck import (Circuit, Gate, check_equivalence, circuit_truth_table,
-                      dfs_variable_order, evaluate_circuit, expand_to_circuit,
-                      simulate, tables_equal)
+from bddcheck import (Circuit, Gate, Manager, ONE, check_equivalence,
+                      circuit_truth_table, dfs_variable_order,
+                      evaluate_circuit, expand_to_circuit, simulate,
+                      tables_equal)
 from bddcheck.generators import (array_multiplier, demorgan_rewrite,
                                  mutate_gate, random_dag_circuit,
                                  random_tree_circuit)
-from bddcheck.oracle import (_bdd_columns, _evaluate, bdd_function_table,
-                             input_pattern, random_columns)
+from bddcheck.oracle import (TABLE_CAP, _bdd_columns, _evaluate,
+                             bdd_function_table, input_pattern,
+                             random_columns)
 
 ROWS = 256                          # seeded random assignments per check
 
@@ -78,6 +80,8 @@ class TestTables:
         c = Circuit(tuple(f"x{i}" for i in range(8)), ("x0",), ())
         with pytest.raises(ValueError):
             circuit_truth_table(c, cap=4)
+        with pytest.raises(ValueError, match="cap of 20"):
+            bdd_function_table(Manager(TABLE_CAP + 1), ONE)
 
 
 class TestTablesEqual:

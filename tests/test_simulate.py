@@ -290,6 +290,10 @@ class TestPolyBound:
         assert PolyBoundConfig(10 ** 12, 2.0).bound(0) == 0.0
         # the largest power of two a float holds keeps its exact value
         assert PolyBoundConfig(341, 1.0).bound(8) == 2.0 ** 1023
+        # 2**1024 is no float, but half of it is
+        assert PolyBoundConfig(1024, 0.5).bound(2) == 2.0 ** 1023
+        with pytest.raises(ValueError, match="not a finite float"):
+            PolyBoundConfig(1024, 1.0).bound(2)
 
     def test_bdd_circuit_run_passes_with_size_override(self):
         # the linear bound over s + inputs covers every internal signal
@@ -332,6 +336,12 @@ class TestTopVariableProbe:
         g = m.apply("and", [m.var(0), m.var(2)])
         with pytest.raises(ValueError, match="support"):
             top_variable_probe(m, g, 0, "and")
+
+    def test_probe_rejects_an_op_it_does_not_measure(self):
+        m = Manager(3)
+        g = m.apply("and", [m.var(1), m.var(2)])
+        with pytest.raises(ValueError, match="not 'xor'"):
+            top_variable_probe(m, g, 0, "xor")
 
     def test_probe_rejects_non_top_variable(self):
         m = Manager(3, [1, 0, 2])       # variable 0 sits at level 1
