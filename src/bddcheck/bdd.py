@@ -42,14 +42,13 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Mapping, Sequence
 
+from .circuit import FOLD_STEP, GATE_KINDS
 from .errors import CapacityError
 
 ZERO = 0
 ONE = 1
 
 DEFAULT_NODE_LIMIT = 1 << 26
-
-APPLY_OPS = frozenset(("and", "or", "nand", "nor", "xor", "inv", "buf"))
 
 
 class Manager:
@@ -367,64 +366,49 @@ class Manager:
         return self._ite(f, ZERO, ONE)
 
     def apply(self, op: str, operands: Sequence[int]) -> int:
-        """Gate synthesis through ite; multi-input ops fold left to right."""
+        """Synthesis of one gate of any kind in ``circuit.GATE_KINDS``.
+
+        ``mux`` operands are (select, else, then), as in a netlist.  A
+        multi-input kind folds left to right; every step but the last
+        takes its kind from ``circuit.FOLD_STEP``, so a k-input nand is
+        an and fold closed by one nand.
+        """
         op = op.lower()
-        if op not in APPLY_OPS:
+        if op not in GATE_KINDS:
             raise ValueError(f"unknown operator {op!r}")
         refs = list(operands)
         for f in refs:
             self._check_ref(f)
+        if op == "mux":
+            if len(refs) != 3:
+                raise ValueError("mux takes exactly three operands")
+            s, e, t = refs
+            return self._ite(s, t, e)
         if op in ("inv", "buf"):
             if len(refs) != 1:
                 raise ValueError(f"{op} takes exactly one operand")
-            a = refs[0]
-            return self._ite(a, ZERO, ONE) if op == "inv" else self._ite(a, ONE, ZERO)
+            return self._ite(refs[0], ZERO, ONE) if op == "inv" else refs[0]
         if len(refs) < 2:
             raise ValueError(f"{op} takes at least two operands")
-        if op == "and":
-            acc = refs[0]
-            for b in refs[1:]:
-                acc = self._ite(acc, b, ZERO)
-            return acc
-        if op == "or":
-            acc = refs[0]
-            for b in refs[1:]:
-                acc = self._ite(acc, ONE, b)
-            return acc
-        if op == "xor":
-            acc = refs[0]
-            for b in refs[1:]:
-                acc = self._xor2(acc, b)
-            return acc
-        # k-input nand/nor: and/or fold with the inversion absorbed
-        # into the final 2-input gate
+        step = FOLD_STEP.get(op, op)
         acc = refs[0]
-        if op == "nand":
-            for b in refs[1:-1]:
+        for i, b in enumerate(refs[1:], 2):
+            kind = op if i == len(refs) else step
+            if kind == "and":
                 acc = self._ite(acc, b, ZERO)
-            return self._nand2(acc, refs[-1])
-        for b in refs[1:-1]:
-            acc = self._ite(acc, ONE, b)
-        return self._nor2(acc, refs[-1])
-
-    def _nand2(self, a, b):
-        # ite(0, *, 1) = 1: resolve the controlling value before
-        # materializing the negated operand
-        if a == ZERO:
-            return ONE
-        return self._ite(a, self._ite(b, ZERO, ONE), ONE)
-
-    def _nor2(self, a, b):
-        if a == ONE:
-            return ZERO
-        return self._ite(a, ZERO, self._ite(b, ZERO, ONE))
-
-    def _xor2(self, a, b):
-        if a == ZERO:
-            return b
-        if a == ONE:
-            return self._ite(b, ZERO, ONE)
-        return self._ite(a, self._ite(b, ZERO, ONE), b)
+            elif kind == "or":
+                acc = self._ite(acc, ONE, b)
+            # a controlling accumulator decides before ~b is made
+            elif kind == "nand":
+                acc = ONE if acc == ZERO else self._ite(
+                    acc, self._ite(b, ZERO, ONE), ONE)
+            elif kind == "nor":
+                acc = ZERO if acc == ONE else self._ite(
+                    acc, ZERO, self._ite(b, ZERO, ONE))
+            else:                                # xor
+                acc = b if acc == ZERO else self._ite(
+                    acc, self._ite(b, ZERO, ONE), b)
+        return acc
 
     # -- analysis ---------------------------------------------------------
 

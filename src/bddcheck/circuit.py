@@ -17,6 +17,9 @@ from typing import NamedTuple
 from .errors import CircuitError
 
 GATE_KINDS = ("and", "or", "nand", "nor", "xor", "inv", "buf", "mux")
+# a k-input gate is a left fold of 2-input steps; every step but the last
+# is of the kind named here, or of the gate's own kind
+FOLD_STEP = {"nand": "and", "nor": "or"}
 
 
 @dataclass(slots=True)
@@ -256,25 +259,24 @@ def fresh_name(base: str, taken: set[str]) -> str:
 def decompose_multi_input(c: Circuit) -> Circuit:
     """Rewrite every >2-input and/or/nand/nor/xor gate into a 2-input left fold.
 
-    k-input nand/nor become an and/or fold with the final inversion
-    absorbed into the last gate's kind.  The function is preserved and
-    fresh signal names are deterministic.
+    Every fold step but the last is of kind ``FOLD_STEP.get(kind, kind)``
+    and the last keeps the gate's kind, so k-input nand/nor become an
+    and/or fold with the final inversion absorbed into the last gate.
+    The function is preserved and fresh signal names are deterministic.
     """
     taken = set(c.signals)
     gates = []
     for g in c.gates:
-        if g.kind not in ("and", "or", "nand", "nor", "xor") or len(g.inputs) <= 2:
+        if g.kind == "mux" or len(g.inputs) <= 2:
             gates.append(Gate(g.kind, g.output, g.inputs))
             continue
-        inner = {"and": "and", "nand": "and", "or": "or",
-                 "nor": "or", "xor": "xor"}[g.kind]
-        last = {"nand": "nand", "nor": "nor"}.get(g.kind, inner)
+        step = FOLD_STEP.get(g.kind, g.kind)
         acc = g.inputs[0]
         for k, s in enumerate(g.inputs[1:-1]):
             out = fresh_name(f"{g.output}__d{k}", taken)
-            gates.append(Gate(inner, out, (acc, s)))
+            gates.append(Gate(step, out, (acc, s)))
             acc = out
-        gates.append(Gate(last, g.output, (acc, g.inputs[-1])))
+        gates.append(Gate(g.kind, g.output, (acc, g.inputs[-1])))
     return Circuit(c.inputs, c.outputs, gates, c.constants)
 
 

@@ -11,11 +11,10 @@ import random
 from typing import Sequence
 
 from .bdd import Manager, ONE, ZERO
-from .circuit import Circuit, Gate, fresh_name
+from .circuit import Circuit, Gate, GATE_KINDS, fresh_name
 
 TREE_KINDS = ("and", "or", "nand", "nor")
 TREE_INV_PROB = 0.15          # chance that a tree signal feeds an inverter
-DAG_KINDS = ("and", "or", "nand", "nor", "xor", "inv", "buf", "mux")
 
 
 def random_tree_circuit(n: int, depth: int = 0, seed: int = 0) -> Circuit:
@@ -61,7 +60,7 @@ def random_tree_circuit(n: int, depth: int = 0, seed: int = 0) -> Circuit:
 
 def random_dag_circuit(n_inputs: int, n_gates: int, seed: int = 0,
                        n_outputs: int = 1,
-                       kinds: Sequence[str] = DAG_KINDS) -> Circuit:
+                       kinds: Sequence[str] = GATE_KINDS) -> Circuit:
     """Random combinational DAG; gates may share operands and fan out."""
     if n_inputs < 1 or n_gates < 1:
         raise ValueError("need at least one input and one gate")

@@ -79,11 +79,11 @@ def _evaluate(c: Circuit, masks: dict[str, int], full: int) -> list[int]:
     return [masks[po] for po in c.outputs]
 
 
-def circuit_truth_table(c: Circuit, cap: int = TABLE_CAP) -> TruthTable:
+def circuit_truth_table(c: Circuit) -> TruthTable:
     """Gate-level evaluation of every assignment, one column per output."""
     n = len(c.inputs)
-    if n > cap:
-        raise ValueError(f"{n} inputs exceed the truth-table cap of {cap}")
+    if n > TABLE_CAP:
+        raise ValueError(f"{n} inputs exceed the truth-table cap of {TABLE_CAP}")
     masks = {name: input_pattern(i, n) for i, name in enumerate(c.inputs)}
     columns = _evaluate(c, masks, (1 << (1 << n)) - 1)
     return TruthTable(n, c.outputs, tuple(columns))
@@ -109,15 +109,15 @@ def evaluate_circuit(c: Circuit, assignment: Mapping[str, int]) -> list[int]:
     return _evaluate(c, row, 1)
 
 
-def bdd_function_table(mgr, f: int, cap: int = TABLE_CAP) -> int:
+def bdd_function_table(mgr, f: int) -> int:
     """Truth-table mask of a BDD node over all manager variables.
 
     Independent of the ite path: a bottom-up Shannon expansion over the
     node graph, ``table(v) = (x & table(high)) | (~x & table(low))``.
     """
     n = mgr.var_count
-    if n > cap:
-        raise ValueError(f"{n} variables exceed the truth-table cap of {cap}")
+    if n > TABLE_CAP:
+        raise ValueError(f"{n} variables exceed the truth-table cap of {TABLE_CAP}")
     columns = [input_pattern(i, n) for i in range(n)]
     return _bdd_columns(mgr, [f], columns, (1 << (1 << n)) - 1)[0]
 

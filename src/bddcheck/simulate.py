@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from numbers import Real
 from typing import NamedTuple
 
 from .bdd import DEFAULT_NODE_LIMIT, Manager, ONE, ZERO
-from .circuit import Circuit, dfs_variable_order, topological_order
+from .circuit import (Circuit, dfs_variable_order, fanout_counts,
+                      topological_order)
 from .errors import CapacityError
 
 
@@ -142,8 +142,10 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     """Build BDDs for every signal of the circuit.
 
     ``order`` lists input indices from the top level down; ``None``
-    selects the DFS order.  A MUX gate is one ite call; to simulate its
-    standard gate realization instead, pass ``expand_mux(circuit)``.
+    selects the DFS order.  Every gate is one ``Manager.apply`` call, so
+    a MUX gate, with operands (select, else, then), is one ite; to
+    simulate its standard gate realization instead, pass
+    ``expand_mux(circuit)``.
     With ``track_live=False`` the rows and ``peak_live`` carry ``None``
     for the live node count.  On capacity exhaustion a
     :class:`SimulationCapacityError` carries the partial stats and
@@ -162,9 +164,9 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
         # one use per gate still to read the signal, and one that never
         # ends for each input and output: a signal is a root of the live
         # count from its definition until its uses reach 0
-        uses = Counter(circuit.inputs)
-        uses.update(circuit.outputs)
-        uses.update(s for g in circuit.gates for s in g.inputs)
+        uses = fanout_counts(circuit)
+        for s in circuit.inputs:
+            uses[s] += 1
 
     def define(name, ref):
         bdds[name] = ref
@@ -185,12 +187,7 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
         stats.created_baseline = mgr.created_count
         for gate in topological_order(circuit):
             signal = gate.output
-            ins = [bdds[s] for s in gate.inputs]
-            if gate.kind == "mux":
-                sel, else_b, then_b = ins
-                result = mgr.ite(sel, then_b, else_b)
-            else:
-                result = mgr.apply(gate.kind, ins)
+            result = mgr.apply(gate.kind, [bdds[s] for s in gate.inputs])
             define(signal, result)
             if tracker:
                 for s in gate.inputs:
@@ -233,12 +230,15 @@ class PolyBoundConfig:
             raise ValueError("degree must be >= 0")
         if self.gate_gap < 1:
             raise ValueError("gate_gap must be >= 1")
-        if not math.isfinite(self.coefficient):
-            # a NaN bound would pass every size
+        c = self.coefficient
+        # a NaN bound would pass every size; compared, not converted to
+        # a float, so that an int past the floats is left to bound()
+        if c != c or abs(c) == math.inf:
             raise ValueError("coefficient must be finite")
 
     def bound(self, n: int) -> Real:
-        """``coefficient * n**degree``, which must be a finite float.
+        """``coefficient * n**degree``, the exact product rounded once to
+        a float, which must be finite.
 
         Its magnitude is checked from logarithms before the power is
         computed, so a degree far too large fails at once rather than
@@ -246,18 +246,11 @@ class PolyBoundConfig:
         """
         c, d = self.coefficient, self.degree
         if c == 0:
-            return c                             # c * n**d, at any degree
+            return float(c)                      # c * n**d, at any degree
         if n <= 1 or math.log(abs(c)) + d * math.log(n) <= _LOG_MAX:
+            num, den = c.as_integer_ratio()
             try:
-                b = c * n ** d
-                if math.isfinite(b):
-                    return b
-            except OverflowError:                # an int past the floats
-                pass
-            try:
-                # the float product can overflow where the exact one, rounded
-                # once by the int division, does not: 0.5 * 2**1024 is 2**1023
-                num, den = c.as_integer_ratio()
+                # an int division rounds once; 0.5 * 2**1024 is 2**1023
                 return num * n ** d / den
             except OverflowError:
                 pass
@@ -281,17 +274,15 @@ class PolyBoundReport:
 
 
 def check_poly_bound(stats: SimStats, cfg: PolyBoundConfig,
-                     n: int | None = None,
                      outputs: set[str] | None = None) -> PolyBoundReport:
     """Check sampled signal sizes against ``coefficient * n**degree``.
 
     Samples every ``gate_gap``-th gate signal in topological order,
-    plus every signal named in ``outputs``, using the run's input count
-    for ``n`` unless overridden.  Purely a measurement of this run; it
-    proves nothing beyond it.
+    plus every signal named in ``outputs``, with the run's input count
+    as ``n``.  Purely a measurement of this run; it proves nothing
+    beyond it.
     """
-    if n is None:
-        n = stats.input_count
+    n = stats.input_count
     bound = cfg.bound(n)
     gate_rows = [r for r in stats.rows if r.kind not in ("input", "const")]
     outputs = outputs or set()

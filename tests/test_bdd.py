@@ -196,7 +196,9 @@ class TestApply:
 
     def test_controlling_values_short_circuit(self):
         # cv on the first operand: no nodes, at most one ite entry
-        for op, cv in (("and", ZERO), ("or", ONE), ("nand", ZERO), ("nor", ONE)):
+        # (xor on a 0 is no controlling value, but it decides as early)
+        for op, cv in (("and", ZERO), ("or", ONE), ("nand", ZERO), ("nor", ONE),
+                       ("xor", ZERO)):
             m = Manager(3)
             g = m.apply("and", [m.var(1), m.var(2)])
             before_nodes = m.created_count
@@ -218,6 +220,7 @@ class TestApply:
             "nand": lambda bits: int(not all(bits)),
             "nor": lambda bits: int(not any(bits)),
             "xor": lambda bits: bits[0] ^ bits[1] ^ bits[2],
+            "mux": lambda bits: bits[2] if bits[0] else bits[1],
         }
         ops = {op: m.apply(op, samples[:3]) for op in cases}
         for a in all_assignments(8):
@@ -239,6 +242,8 @@ class TestApply:
             m.apply("inv", [m.var(0), m.var(1)])
         with pytest.raises(ValueError):
             m.apply("and", [m.var(0)])
+        with pytest.raises(ValueError):
+            m.apply("mux", [m.var(0), m.var(1)])
         with pytest.raises(ValueError):
             m.apply("nop", [m.var(0), m.var(1)])
 

@@ -163,6 +163,15 @@ class TestSimulate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["poly_bound"]["bound"] == 2.0 ** 1023
 
+    def test_text_bound_is_the_exact_product_rounded_once(self, tmp_path,
+                                                          capsys):
+        # 0.1 * float(17**13) rounds twice and ends in .6
+        net = str(tmp_path / "t17.net")
+        assert main(["gen-tree", "17", "--out", net]) == 0
+        assert main(["simulate", net, "--poly-degree", "13",
+                     "--poly-coeff", "0.1", "--format", "text"]) == 0
+        assert "(bound 990457803290593.8," in capsys.readouterr().out
+
     def test_capacity_ten_aborts_with_partial_trace(self, files, tmp_path, capsys):
         lines = [".inputs " + " ".join(f"x{i}" for i in range(20)),
                  ".outputs y"]

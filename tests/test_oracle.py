@@ -77,9 +77,10 @@ class TestTables:
             assert t.bit(r, 7) == (b if s else a)
 
     def test_cap(self):
-        c = Circuit(tuple(f"x{i}" for i in range(8)), ("x0",), ())
-        with pytest.raises(ValueError):
-            circuit_truth_table(c, cap=4)
+        # the cap is checked before any table is built
+        c = Circuit(tuple(f"x{i}" for i in range(TABLE_CAP + 1)), ("x0",), ())
+        with pytest.raises(ValueError, match="21 inputs exceed .* cap of 20"):
+            circuit_truth_table(c)
         with pytest.raises(ValueError, match="cap of 20"):
             bdd_function_table(Manager(TABLE_CAP + 1), ONE)
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -275,9 +276,11 @@ class TestPolyBound:
             PolyBoundConfig(1, coefficient, 1)
 
     @pytest.mark.parametrize("degree, coefficient", [
-        (600, 1.0), (600, 1), (10 ** 12, 1.0), (2, 1e308)])
+        (600, 1.0), (600, 1), (10 ** 12, 1.0), (2, 1e308),
+        pytest.param(1, 10 ** 400, id="1-10**400")])
     def test_bound_past_the_floats_is_rejected(self, degree, coefficient):
-        # 4**600 overflows a float; the huge degree fails before any power
+        # 4**600 overflows a float; the huge degree fails before any power;
+        # an int coefficient past the floats is a finite config, no bound
         stats = simulate(two_and_two_or()).stats
         with pytest.raises(ValueError, match="not a finite float"):
             check_poly_bound(stats, PolyBoundConfig(degree, coefficient))
@@ -286,6 +289,7 @@ class TestPolyBound:
         stats = simulate(two_and_two_or()).stats
         report = check_poly_bound(stats, PolyBoundConfig(10 ** 12, 0.0))
         assert report.bound == 0.0 and not report.passed
+        assert type(PolyBoundConfig(3, 0).bound(5)) is float
         assert PolyBoundConfig(10 ** 12, 2.0).bound(1) == 2.0
         assert PolyBoundConfig(10 ** 12, 2.0).bound(0) == 0.0
         # the largest power of two a float holds keeps its exact value
@@ -294,6 +298,19 @@ class TestPolyBound:
         assert PolyBoundConfig(1024, 0.5).bound(2) == 2.0 ** 1023
         with pytest.raises(ValueError, match="not a finite float"):
             PolyBoundConfig(1024, 1.0).bound(2)
+        with pytest.raises(ValueError, match="not a finite float"):
+            PolyBoundConfig(1, 10 ** 400).bound(1)
+
+    def test_bound_is_the_exact_product_rounded_once(self):
+        # c * n**d would round n**d to a float and then the product;
+        # 0.1 * 17**13 then ends in .6
+        assert PolyBoundConfig(13, 0.1).bound(17) == 990457803290593.8
+        for c in (0.1, 0.3, 1 / 3, 0.7, 1e-5, 2.5, 3, 10 ** 20):
+            for n in range(2, 65):
+                for d in range(0, 120, 8):
+                    exact = Fraction(c) * n ** d
+                    if exact < 2.0 ** 1023:
+                        assert PolyBoundConfig(d, c).bound(n) == float(exact)
 
     def test_bdd_circuit_run_passes_with_size_override(self):
         # the linear bound over s + inputs covers every internal signal
@@ -310,10 +327,9 @@ class TestPolyBound:
         circuit, _ = expand_to_circuit(m, [root], "gates")
         order = [circuit.inputs.index(f"x{v}") for v in m.var_order()]
         stats = simulate(circuit, order).stats
-        report = check_poly_bound(stats, PolyBoundConfig(1, 2, 1),
-                                  n=s + len(circuit.inputs),
-                                  outputs=set(circuit.outputs))
-        assert report.passed
+        bound = 2 * (s + len(circuit.inputs))
+        assert all(r.size <= bound for r in stats.rows
+                   if r.kind not in ("input", "const"))
 
 
 class TestTopVariableProbe:
