@@ -6,7 +6,8 @@ one-to-one expansion of BDDs into multiplexer netlists.
 """
 
 from .bdd import DEFAULT_NODE_LIMIT, Manager, ONE, ZERO
-from .bddcircuit import RoundtripReport, expand_to_circuit, roundtrip_verify
+from .bddcircuit import (RoundtripReport, SourceBdds, expand_to_circuit,
+                         roundtrip_verify)
 from .circuit import (Circuit, Gate, GATE_KINDS, decompose_multi_input,
                       dfs_variable_order, expand_mux, fanout_counts, is_tree,
                       topological_order)
@@ -45,6 +46,7 @@ __all__ = [
     "SimResult",
     "SimStats",
     "SimulationCapacityError",
+    "SourceBdds",
     "TruthTable",
     "VerifyOutcome",
     "ZERO",

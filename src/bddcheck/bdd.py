@@ -555,6 +555,8 @@ class Manager:
         self._check_ref(f)
         target = self.level_of_var(index)
         level = self._level
+        if level[f] > target:                    # all of f tests below it
+            return False
         return any(level[u] == target for u in self._above(f, target))
 
     def _above(self, f, target):

@@ -15,6 +15,11 @@ the same variable index at the same level as the node it came from.  It
 checks, node for node, that the simulation reproduces the original BDD,
 plus the size and independence properties of the internal MUX signals
 in ``gates`` mode.
+
+The expansion and the round trip read only three things of the
+manager: its variable count, its order and the nodes under the roots.
+:class:`SourceBdds` reads them once, so a caller can drop the manager,
+with its arena and tables, before the expanded circuit is built.
 """
 
 from __future__ import annotations
@@ -30,17 +35,48 @@ from .simulate import SimStats, simulate
 MODES = ("mux", "gates")
 
 
-def expand_to_circuit(mgr: Manager, roots: Sequence[int], mode: str = "mux",
+class SourceBdds:
+    """The BDDs under ``roots`` as the expansion reads them: the
+    manager's ``var_count``, its ``var_order()`` and ``nodes(roots)``,
+    each read once.
+
+    It holds no reference to the manager, so the manager can be freed
+    while the expansion and the round trip run.  ``nodes`` answers only
+    for the roots it was made from.
+    """
+
+    def __init__(self, mgr: Manager, roots: Sequence[int]):
+        self.roots = tuple(roots)
+        self.var_count = mgr.var_count
+        self._order = mgr.var_order()
+        self._nodes = mgr.nodes(self.roots)
+
+    def var_order(self) -> list[int]:
+        return list(self._order)
+
+    def nodes(self, roots: Sequence[int]) -> list[tuple[int, int, int, int]]:
+        """``Manager.nodes(roots)`` as read at construction."""
+        if tuple(roots) != self.roots:
+            raise ValueError(f"holds the nodes under {list(self.roots)}, "
+                             f"not under {list(roots)}")
+        return self._nodes
+
+
+def expand_to_circuit(mgr: Manager | SourceBdds, roots: Sequence[int],
+                      mode: str = "mux",
                       var_names: Mapping[int, str] | Sequence[str] | None = None,
                       ) -> tuple[Circuit, dict[int, str]]:
     """Map the BDDs under ``roots`` into a circuit, one MUX per node; in
     ``gates`` mode the k-th node's four gates are gates 4k to 4k+3.
 
-    Variable ``i`` is input ``i`` of the circuit, named ``x{i}`` or
-    ``var_names[i]``; a variable without a name is a configuration
-    error.  Output ``j`` is the signal of ``roots[j]``.  Also returns a
-    dict from every handle the circuit wires (the internal nodes, in
-    ascending order, after the terminals it uses) to its signal name.
+    Reads ``mgr.var_count`` and ``mgr.nodes(roots)`` only, so ``mgr``
+    may be a :class:`SourceBdds`.  Variable ``i`` is input ``i`` of the
+    circuit, named ``x{i}`` or ``var_names[i]``; a variable without a
+    name is a configuration error.  Output ``j`` is the signal of
+    ``roots[j]``.  Also returns a dict from every handle the circuit
+    wires (the internal nodes, in ascending order, after the terminals
+    it uses) to its signal name.  Gates are declared children first, so
+    the declaration order is the circuit's topological order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -105,11 +141,13 @@ class RoundtripReport:
         return doc
 
 
-def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
-                     var_names=None,
+def roundtrip_verify(mgr: Manager | SourceBdds, roots: Sequence[int],
+                     mode: str = "gates", var_names=None,
                      node_limit: int = DEFAULT_NODE_LIMIT) -> RoundtripReport:
     """Simulate the expanded circuit and compare it node-for-node.
 
+    Reads ``mgr.var_count``, ``mgr.var_order()`` and ``mgr.nodes(roots)``
+    only, through one :class:`SourceBdds` made here unless ``mgr`` is one.
     Under the original variable order, the signal of every original
     node must rebuild to the canonical copy of that node.  In ``gates``
     mode the inverted select must have size 1, each AND output size at
@@ -117,15 +155,18 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
     must be independent of the select variable.  The simulation does
     not track liveness, so ``report.stats`` carries no live counts.
     """
-    circuit, signals = expand_to_circuit(mgr, roots, mode, var_names)
-    res = simulate(circuit, mgr.var_order(), node_limit=node_limit,
+    roots = list(roots)
+    src = mgr if isinstance(mgr, SourceBdds) else SourceBdds(mgr, roots)
+    circuit, signals = expand_to_circuit(src, roots, mode, var_names)
+    res = simulate(circuit, src.var_order(), node_limit=node_limit,
                    track_live=False)
     sim = res.manager
-    sizes = res.stats.per_signal_size
+    # the declaration order is the topological order, so gate i is row i
+    rows = res.stats.rows[len(circuit.inputs) + len(circuit.constants):]
 
     iso = {0: 0, 1: 1}
     violations = []
-    for k, (u, var, hi, lo) in enumerate(mgr.nodes(roots)):
+    for k, (u, var, hi, lo) in enumerate(src.nodes(roots)):
         iso[u] = sim.make(var, iso[hi], iso[lo])
         sig = signals[u]
         got = res.signal_bdds[sig]
@@ -136,19 +177,18 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
         if mode == "gates":
             # holds while expand_to_circuit emits the k-th node's
             # inverter, AND gates and OR, in that order, as gates 4k..4k+3
-            ns_sig, a0_sig, a1_sig = (g.output for g in
-                                      circuit.gates[4 * k:4 * k + 3])
-            for check, name, child in (("and_else", a0_sig, lo),
-                                       ("and_then", a1_sig, hi)):
-                bsz = sizes[name]
+            ns, a0, a1 = rows[4 * k:4 * k + 3]
+            for check, row, child in (("and_else", a0, lo),
+                                      ("and_then", a1, hi)):
                 limit = sim.size(iso[child]) + 1
-                if bsz > limit:
+                if row.size > limit:
                     violations.append(RoundtripViolation(
-                        u, name, check, f"size {bsz} exceeds child+1 = {limit}"))
-            nsz = sizes[ns_sig]
-            if nsz != 1:
+                        u, row.signal, check,
+                        f"size {row.size} exceeds child+1 = {limit}"))
+            if ns.size != 1:
                 violations.append(RoundtripViolation(
-                    u, ns_sig, "inverter_size", f"size {nsz}, expected 1"))
+                    u, ns.signal, "inverter_size",
+                    f"size {ns.size}, expected 1"))
             for check, child in (("else_independent", lo),
                                  ("then_independent", hi)):
                 data_sig = signals[child]
@@ -157,7 +197,7 @@ def roundtrip_verify(mgr: Manager, roots: Sequence[int], mode: str = "gates",
                         u, data_sig, check,
                         f"data input depends on select variable {var}"))
     # every internal signal is the output of one gate
-    max_size = max((sizes[g.output] for g in circuit.gates), default=0)
+    max_size = max((row.size for row in rows), default=0)
     return RoundtripReport(not violations, mode, len(iso) - 2, max_size,
                            res.stats.created_total, violations, res.stats,
                            circuit)

@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .bdd import DEFAULT_NODE_LIMIT
-from .bddcircuit import roundtrip_verify
+from .bddcircuit import SourceBdds, roundtrip_verify
 from .circuit import dfs_variable_order
 from .equivalence import EQUIVALENT, NOT_EQUIVALENT, check_equivalence
 from .errors import BddCheckError, ParseError
@@ -220,11 +220,14 @@ def _cmd_expand_bdd(args) -> int:
         sys.stderr.write(
             f"capacity abort while simulating '{exc.stats.failing_signal}'\n")
         return EXIT_CAPACITY
-    mgr = res.manager
-    roots = [res.signal_bdds[po] for po in circuit.outputs]
+    source = SourceBdds(res.manager,
+                        [res.signal_bdds[po] for po in circuit.outputs])
+    # the source manager and its tables are freed before the expansion,
+    # so the peak is the larger of the two simulations, not their sum
+    del res
     try:
-        report = roundtrip_verify(mgr, roots, args.mode, circuit.inputs,
-                                  node_limit=args.capacity)
+        report = roundtrip_verify(source, source.roots, args.mode,
+                                  circuit.inputs, node_limit=args.capacity)
     except SimulationCapacityError as exc:
         sys.stderr.write(
             f"capacity abort during round trip at '{exc.stats.failing_signal}'\n")

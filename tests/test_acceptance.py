@@ -407,11 +407,17 @@ def test_criterion_10_roundtrip_work_linear():
     assert multi == expected
 
 
-def path_length(c):
-    """L: the sum, over the inputs of a tree, of the gates above each."""
+def cone_inputs(c):
+    """The number of inputs below each signal of a tree."""
     leaves = dict.fromkeys(c.inputs, 1)
     for g in c.gates:                      # the generators declare children first
         leaves[g.output] = sum(leaves[s] for s in g.inputs)
+    return leaves
+
+
+def path_length(c):
+    """L: the sum, over the inputs of a tree, of the gates above each."""
+    leaves = cone_inputs(c)
     return sum(leaves[s] for g in c.gates for s in g.inputs)
 
 
@@ -464,3 +470,43 @@ def test_criterion_12_multiplier_growth_per_bit():
            f"per bit")
     assert sizes == expected
     assert growth >= 2
+
+
+def test_criterion_13_tree_space():
+    """The space half of the tree claim, with zero tolerance: on
+    criterion 9's 75 trees under DFS order, every gate signal has
+    exactly one node per input of its cone, and the live count peaks at
+    most 2n (n = 16, seed 0 reaches it).  On the left-deep AND chain the
+    sizes are 2..n and the peak is exactly 2n-1: the n input projections
+    and the output's other n-1 nodes."""
+    failures = []
+    worst = 0.0
+    signals = 0
+    peaks = {}
+    for n in (16, 64, 256):
+        for seed in range(25):
+            c = random_tree_circuit(n, seed=seed)
+            stats = simulate(c).stats
+            cone = cone_inputs(c)
+            gate_rows = stats.rows[n:]
+            signals += len(gate_rows)
+            wrong = [(r.signal, r.size, cone[r.signal]) for r in gate_rows
+                     if r.size != cone[r.signal]]
+            if wrong or stats.peak_live > 2 * n:
+                failures.append((n, seed, wrong[:3], stats.peak_live))
+            peaks[n, seed] = stats.peak_live
+            worst = max(worst, stats.peak_live / n)
+    chain = {}
+    for n in (10, 50, 200):
+        stats = simulate(and_chain(n)).stats
+        chain[n] = ([r.size for r in stats.rows[n:]] == list(range(2, n + 1)),
+                    stats.peak_live)
+    expected_chain = {n: (True, 2 * n - 1) for n in (10, 50, 200)}
+    ok = not failures and peaks[16, 0] == 32 and chain == expected_chain
+    report(13, ok,
+           f"75 trees: all {signals} gate signals have one node per cone "
+           f"input; peak live at most {worst:.2f}n (n = 16, seed 0: "
+           f"{peaks[16, 0]}); AND chain (sizes 2..n, peak live) = {chain}")
+    assert not failures, failures[:3]
+    assert peaks[16, 0] == 32
+    assert chain == expected_chain

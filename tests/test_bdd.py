@@ -663,6 +663,19 @@ class TestEntryNormalisation:
             assert m.ite_calls - calls == t.ite_calls - t_calls
             assert m.created_count == t.created_count
 
+    @pytest.mark.parametrize("triple", [lambda x, y: (x, ONE, y),
+                                        lambda x, y: (x, y, ZERO)],
+                             ids=["or", "and"])
+    def test_swapped_operands_share_one_entry(self, triple):
+        m, rng, pool = self._pool(31)
+        for _ in range(40):
+            a, b = rng.sample(pool, 2)
+            m.clear_computed_cache()
+            m.ite(*triple(b, a))
+            calls = m.ite_calls
+            m.ite(*triple(a, b))             # ordered by handle at entry
+            assert m.ite_calls == calls
+
     def _last_node(self, seed):
         rng = random.Random(seed)
         m = Manager(self.N)

@@ -2,12 +2,13 @@
 
 import random
 import re
+import weakref
 
 import pytest
 
-from bddcheck import (BddCheckError, Circuit, Gate, Manager, ONE, bddcircuit,
-                      circuit_truth_table, expand_mux, expand_to_circuit,
-                      roundtrip_verify, simulate)
+from bddcheck import (BddCheckError, Circuit, Gate, Manager, ONE, SourceBdds,
+                      bddcircuit, circuit_truth_table, cli, expand_mux,
+                      expand_to_circuit, roundtrip_verify, serialize, simulate)
 from bddcheck.cli import main
 from bddcheck.generators import array_multiplier, random_bdd
 from bddcheck.oracle import bdd_function_table
@@ -255,3 +256,57 @@ class TestRoundtrip:
         assert set(names) <= set(circuit.inputs)
         report = roundtrip_verify(m, [f], "gates", var_names=names)
         assert report.ok, report.violations
+
+
+class TestSourceBdds:
+    def _sources(self):
+        """Criterion 5's 50 BDDs and the outputs of array_multiplier(4..6)."""
+        for case in range(50):
+            m = Manager(12)
+            yield m, [random_bdd(m, seed=50_000 + case)]
+        for k in (4, 5, 6):
+            c = array_multiplier(k)
+            res = simulate(c, track_live=False)
+            yield res.manager, [res.signal_bdds[po] for po in c.outputs]
+
+    @pytest.mark.parametrize("mode", ["mux", "gates"])
+    def test_reports_match_the_manager(self, mode):
+        for m, roots in self._sources():
+            want = roundtrip_verify(m, roots, mode)
+            got = roundtrip_verify(SourceBdds(m, roots), roots, mode)
+            assert got.to_json() == want.to_json()
+            assert serialize(got.circuit) == serialize(want.circuit)
+
+    def test_other_roots_are_refused(self):
+        m, f = or_bdd()
+        src = SourceBdds(m, [f])
+        for roots in ([m.var(0)], [f, f], []):
+            with pytest.raises(ValueError, match="holds the nodes"):
+                src.nodes(roots)
+        with pytest.raises(ValueError, match="holds the nodes"):
+            roundtrip_verify(src, [m.var(1)])
+        assert src.nodes([f]) == m.nodes([f])
+        assert src.var_order() == m.var_order()
+
+    def test_expand_bdd_frees_the_source_before_the_round_trip(
+            self, tmp_path, monkeypatch):
+        net = tmp_path / "mult.net"
+        net.write_text(serialize(array_multiplier(4)))
+        source, checked = [], []
+        run = cli.simulate
+
+        def keep_a_weakref(*args, **kwargs):
+            res = run(*args, **kwargs)
+            source.append(weakref.ref(res.manager))
+            return res
+
+        def source_is_gone(*args, **kwargs):
+            assert [ref() for ref in source] == [None]
+            checked.append(True)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", keep_a_weakref)
+        monkeypatch.setattr(bddcircuit, "simulate", source_is_gone)
+        assert main(["expand-bdd", str(net), "--mode", "gates",
+                     "--out", str(tmp_path / "x.net")]) == 0
+        assert checked == [True]

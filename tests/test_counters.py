@@ -18,7 +18,8 @@ import pytest
 from bddcheck import Circuit, Gate, check_equivalence, simulate
 from bddcheck.cli import main as cli_main
 from bddcheck.generators import (array_multiplier, demorgan_rewrite,
-                                 mutate_gate, random_tree_circuit)
+                                 mutate_gate, random_dag_circuit,
+                                 random_tree_circuit)
 from bddcheck.netlist import serialize
 
 SEED = 1
@@ -115,6 +116,14 @@ def test_xor_chain_size_walks_are_linear():
 def test_tree_forest_counters():
     _check(tree_forest(), {"created_total": 2989, "ite_entries_total": 3357,
                            "peak_live": 799, "size_sum": 4983})
+
+
+@pytest.mark.parametrize("seed, entries", [(18, 499), (52, 84), (150, 129)])
+def test_random_dag_ite_entries(seed, entries):
+    # seeds whose count the OR operand ordering at ite entry lowers; the
+    # workloads' counters do not move with it
+    stats = simulate(random_dag_circuit(10, 40, seed=seed)).stats
+    assert stats.ite_entries_total <= entries
 
 
 def test_mux_roundtrip_counters(tmp_path, capsys):
