@@ -35,6 +35,9 @@ and a walk from a node that has that root as a child starts from the
 kept set, so it visits only the nodes the child does not reach.  With
 GC or reordering the kept set could name freed or rebuilt nodes; here
 it cannot.
+
+``hold`` counts the internal nodes reachable from a set of root slots,
+a simulation's live count, by reference counts that free no node.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ class Manager:
       normalisation at entry, nor by the computed table.
     - ``size_walked``: nodes that ``size`` walks added to their node
       sets, counted once per walk (see ``size``).
+    - ``live``: internal nodes reachable from the root slots that
+      ``hold`` has added and not removed; the one counter that falls.
 
     ``ite`` normalises standard triples at entry, with the negations
     that the computed table holds; ``size`` remembers the size of every
@@ -107,8 +112,10 @@ class Manager:
         self._sizes = {}                             # ref -> size(ref)
         self._walked = ZERO                          # root of the last size walk
         self._reach = set()                          # its internal nodes
+        self._refs = [1, 1]                          # ref -> slots + live parents
         self._rec, self._count = self._kernel()
         self.size_walked = 0
+        self.live = 0
 
     @property
     def created_count(self) -> int:
@@ -549,6 +556,49 @@ class Manager:
                 u = lu if hu <= 1 else hu
             sizes[f] = n
         return n
+
+    def hold(self, f: int, d: int) -> None:
+        """Add a root slot on ``f`` (``d = 1``) or remove one that an
+        earlier add made (``d = -1``), and update ``live``.
+
+        ``_refs[v]``, which grows with the arena, counts the root slots
+        on ``v`` plus its live parents.  The terminals start at 1, so
+        they are never counted or walked.  Only a node whose count
+        reaches 1 on an add or 0 on a remove changes state: it adds
+        ``d`` to ``live`` and passes the step on to its children.
+        """
+        self._check_ref(f)
+        if d not in (1, -1):
+            raise ValueError(f"d must be 1 or -1, not {d!r}")
+        refs = self._refs
+        high = self._high
+        if len(refs) < len(high):
+            refs.extend([0] * (len(high) - len(refs)))
+        turn = 1 if d > 0 else 0
+        c = refs[f] + d
+        refs[f] = c
+        if c != turn:
+            return
+        low = self._low
+        live = self.live + d
+        stack = [f]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            u = pop()
+            v = high[u]
+            c = refs[v] + d
+            refs[v] = c
+            if c == turn:
+                live += d
+                push(v)
+            v = low[u]
+            c = refs[v] + d
+            refs[v] = c
+            if c == turn:
+                live += d
+                push(v)
+        self.live = live
 
     def depends_on(self, f: int, index: int) -> bool:
         """Whether variable ``index`` is in the support of ``f``."""

@@ -262,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--order", default="dfs",
                         help="variable order source: dfs, declared, or file:PATH")
         sp.add_argument("--capacity", type=int, default=DEFAULT_NODE_LIMIT,
-                        help="node limit (default 2^26)")
+                        help="node limit (default %(default)s)")
         sp.add_argument("--format", choices=formats, default="json")
 
     sp = sub.add_parser("verify", help="check two netlists for equivalence")

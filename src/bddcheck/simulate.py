@@ -9,13 +9,16 @@ by gate processing on top of that baseline (the raw arena counter is
 
 A signal is *live* from its definition until its last consumer gate
 has been simulated; inputs and outputs stay live to the end of the run.
-``live_nodes`` is the number of internal nodes reachable from the live
-signals, tracked incrementally; ``peak_live`` is its maximum over the
-rows, so an aborted run reports the peak of the rows it recorded.
+``live_nodes`` is ``Manager.live`` after the row, with a slot held
+(``Manager.hold``) on every live signal; ``peak_live`` is its maximum
+over the rows, so an aborted run reports the peak of the rows it
+recorded.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -80,63 +83,6 @@ class SimulationCapacityError(CapacityError):
         self.stats = stats
 
 
-class _LiveTracker:
-    """Incremental count of internal nodes reachable from the root set.
-
-    ``_refs[v]`` counts root slots on ``v`` plus reachable parents of
-    ``v``; a node is live while its count is positive.  ``_refs`` is a
-    list indexed by handle that grows with the arena.  The terminals
-    start at 1, so they are never counted or walked.  Adding or removing
-    a root costs one traversal of the nodes whose reachability actually
-    changes: a child's count is updated where its parent is visited,
-    and only a child that changes state is pushed.
-    """
-
-    def __init__(self, mgr: Manager):
-        # the arena lists grow in place, so binding them once is safe
-        self._high = mgr._high
-        self._low = mgr._low
-        self._refs = [1, 1]
-        self.live = 0
-
-    def shift(self, ref: int, d: int):
-        """Add a root slot on ``ref`` (``d = 1``) or remove one (``d = -1``).
-
-        A node changes state when its count reaches 1 on an add or 0 on
-        a remove; only such a node adds ``d`` to ``live`` and passes the
-        step on to its children.
-        """
-        refs = self._refs
-        high = self._high
-        if len(refs) < len(high):
-            refs.extend([0] * (len(high) - len(refs)))
-        turn = 1 if d > 0 else 0
-        c = refs[ref] + d
-        refs[ref] = c
-        if c != turn:
-            return
-        low = self._low
-        live = self.live + d
-        stack = [ref]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            u = pop()
-            v = high[u]
-            c = refs[v] + d
-            refs[v] = c
-            if c == turn:
-                live += d
-                push(v)
-            v = low[u]
-            c = refs[v] + d
-            refs[v] = c
-            if c == turn:
-                live += d
-                push(v)
-        self.live = live
-
-
 def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
              track_live: bool = True) -> SimResult:
     """Build BDDs for every signal of the circuit.
@@ -159,8 +105,7 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
     stats = SimStats(order_used=tuple(mgr.var_order()), input_count=n,
                      node_limit=node_limit)
     rows = stats.rows
-    tracker = _LiveTracker(mgr) if track_live else None
-    if tracker:
+    if track_live:
         # one use per gate still to read the signal, and one that never
         # ends for each input and output: a signal is a root of the live
         # count from its definition until its uses reach 0
@@ -170,39 +115,39 @@ def simulate(circuit: Circuit, order=None, node_limit: int = DEFAULT_NODE_LIMIT,
 
     def define(name, ref):
         bdds[name] = ref
-        if tracker and uses[name]:
-            tracker.shift(ref, 1)
+        if track_live and uses[name]:
+            mgr.hold(ref, 1)
 
     signal = None
     try:
         for i, signal in enumerate(circuit.inputs):
             define(signal, mgr.var(i))
             rows.append(SignalRow(len(rows), signal, "input", 1, 0,
-                                  tracker.live if tracker else None, 0))
+                                  mgr.live if track_live else None, 0))
         for signal, bit in circuit.constants:
             define(signal, ONE if bit else ZERO)
             rows.append(SignalRow(len(rows), signal, "const", 0, 0,
-                                  tracker.live if tracker else None, 0))
+                                  mgr.live if track_live else None, 0))
 
         stats.created_baseline = mgr.created_count
         for gate in topological_order(circuit):
             signal = gate.output
             result = mgr.apply(gate.kind, [bdds[s] for s in gate.inputs])
             define(signal, result)
-            if tracker:
+            if track_live:
                 for s in gate.inputs:
                     uses[s] -= 1
                     if not uses[s]:
-                        tracker.shift(bdds[s], -1)
+                        mgr.hold(bdds[s], -1)
             rows.append(SignalRow(
                 len(rows), signal, gate.kind, mgr.size(result),
                 mgr.created_count - stats.created_baseline,
-                tracker.live if tracker else None, mgr.ite_calls))
+                mgr.live if track_live else None, mgr.ite_calls))
     except CapacityError:
         stats.completed = False
         stats.failing_signal = signal
     stats.peak_live = (max((r.live_nodes for r in rows), default=0)
-                       if tracker else None)
+                       if track_live else None)
     stats.ite_entries_total = mgr.ite_calls
     stats.created_total = mgr.created_count - stats.created_baseline
     if not stats.completed:
@@ -278,16 +223,18 @@ def check_poly_bound(stats: SimStats, cfg: PolyBoundConfig,
     """Check sampled signal sizes against ``coefficient * n**degree``.
 
     Samples every ``gate_gap``-th gate signal in topological order,
-    plus every signal named in ``outputs``, with the run's input count
-    as ``n``.  Purely a measurement of this run; it proves nothing
-    beyond it.
+    plus every signal named in ``outputs``, an input or a constant too,
+    with the run's input count as ``n``.  Purely a measurement of this
+    run; it proves nothing beyond it.
     """
     n = stats.input_count
     bound = cfg.bound(n)
-    gate_rows = [r for r in stats.rows if r.kind not in ("input", "const")]
+    gates = [r.topo_index for r in stats.rows
+             if r.kind not in ("input", "const")]
+    picked = set(gates[cfg.gate_gap - 1::cfg.gate_gap])
     outputs = outputs or set()
-    sampled = [row for k, row in enumerate(gate_rows, 1)
-               if k % cfg.gate_gap == 0 or row.signal in outputs]
+    sampled = [row for row in stats.rows
+               if row.topo_index in picked or row.signal in outputs]
     violations = [PolyBoundViolation(row.signal, row.size, row.size - bound)
                   for row in sampled if row.size > bound]
     return PolyBoundReport(not violations, bound, n, len(sampled), violations)
@@ -341,11 +288,11 @@ CSV_HEADER = ",".join(SIGNAL_KEYS)
 
 def stats_to_csv(stats: SimStats) -> str:
     """The signal rows as CSV under :data:`CSV_HEADER`; no live count is
-    an empty field."""
-    lines = [CSV_HEADER]
-    for r in stats.rows:
-        lines.append(",".join(["" if v is None else str(v) for v in r]))
-    return "\n".join(lines) + "\n"
+    an empty field, and a signal name that holds a comma or a quote is
+    quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([SIGNAL_KEYS, *stats.rows])
+    return buf.getvalue()
 
 
 def stats_to_json(stats: SimStats) -> dict:

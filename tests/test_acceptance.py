@@ -12,6 +12,7 @@ from bddcheck import (EQUIVALENT, Circuit, Gate, Manager, NOT_EQUIVALENT,
                       decompose_multi_input, evaluate_circuit, expand_mux,
                       parse, roundtrip_verify, serialize, simulate,
                       tables_equal, top_variable_probe)
+from bddcheck import generators
 from bddcheck.cli import main as cli_main
 from bddcheck.generators import (array_multiplier, demorgan_rewrite,
                                  mutate_gate, random_bdd, random_dag_circuit,
@@ -510,3 +511,54 @@ def test_criterion_13_tree_space():
     assert not failures, failures[:3]
     assert peaks[16, 0] == 32
     assert chain == expected_chain
+
+
+def xor_envelope(c):
+    """For each signal of a tree, the sum over the inputs i of its cone
+    of 2^x(i), where x(i) counts the xor gates from i up to the signal."""
+    env = dict.fromkeys(c.inputs, 1)
+    for g in c.gates:                      # the generators declare children first
+        e = sum(env[s] for s in g.inputs)
+        env[g.output] = 2 * e if g.kind == "xor" else e
+    return env
+
+
+def test_criterion_14_xor_trees(monkeypatch):
+    """Where the tree claim stops: criterion 9's 75 trees with xor added
+    to the basis, under DFS order.  Every gate signal has at most
+    sum 2^x(i) nodes over the inputs i of its cone, x(i) counting the xor
+    gates between i and the signal, with zero tolerance; without xor
+    this is criterion 13's one node per input.  Criterion 9's per-gate
+    bound still holds, but criterion 11's totals do not: n = 64, seed 2
+    enters 1,098 triples against L = 703."""
+    monkeypatch.setattr(generators, "TREE_KINDS",
+                        generators.TREE_KINDS + ("xor",))
+    signals = exact = 0
+    failures = []
+    beyond_length = {}
+    for n in (16, 64, 256):
+        for seed in range(25):
+            c = random_tree_circuit(n, seed=seed)
+            stats = simulate(c).stats
+            env = xor_envelope(c)
+            gate_rows = stats.rows[n:]
+            signals += len(gate_rows)
+            exact += sum(r.size == env[r.signal] for r in gate_rows)
+            over = [(r.signal, r.size, env[r.signal]) for r in gate_rows
+                    if r.size > env[r.signal]]
+            heavy = [w for w in gate_work(stats, c) if max(w[:2]) > w[2]]
+            if over or heavy:
+                failures.append((n, seed, over[:3], heavy[:3]))
+            work = (stats.created_total, stats.ite_entries_total)
+            if max(work) > path_length(c):
+                beyond_length[n, seed] = (*work, path_length(c))
+    ok = (not failures and (signals, exact) == (10_893, 6_149)
+          and beyond_length.get((64, 2)) == (1_096, 1_098, 703))
+    report(14, ok,
+           f"75 xor trees: all {signals} gate signals within sum 2^x(i) "
+           f"({exact} exactly) and every gate within criterion 9's bound; "
+           f"{len(beyond_length)} trees beyond L, n = 64, seed 2 "
+           f"(created, ite entries, L) = {beyond_length.get((64, 2))}")
+    assert not failures, failures[:3]
+    assert (signals, exact) == (10_893, 6_149)
+    assert beyond_length.get((64, 2)) == (1_096, 1_098, 703)

@@ -733,6 +733,15 @@ class TestSizeMemo:
                 assert m.size(g) == len(m.reachable(g))
                 assert m.size_walked == walked
 
+    def test_the_last_walked_root_itself_is_walked_from_nothing(self):
+        # the kept set is reused only when the walked node is a child
+        m = Manager(3)
+        u = m.apply("xor", [m.var(1), m.var(2)])    # two internal children
+        f = m.apply("and", [m.var(0), u])
+        g = m.apply("or", [m.var(0), u])
+        assert (m.size(f), m.size_walked) == (4, 3)
+        assert (m.size(g), m.size_walked) == (4, 6)
+
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=150)
     @given(st.data())
@@ -772,3 +781,33 @@ class TestSizeMemo:
             sup = m.support(f)
             for i in range(8):
                 assert m.depends_on(f, i) == (i in sup)
+
+
+class TestHold:
+    def test_live_counts_the_nodes_reachable_from_the_held_roots(self):
+        for seed in range(8):
+            rng = random.Random(seed)
+            m = Manager(8, rng.sample(range(8), 8))
+            pool = [m.var(i) for i in range(8)] + [ZERO, ONE]
+            held = []
+            for _ in range(80):
+                if held and rng.random() < 0.4:
+                    m.hold(held.pop(rng.randrange(len(held))), -1)
+                else:
+                    f = random_node(m, rng, pool)
+                    m.hold(f, 1)
+                    held.append(f)
+                assert m.live == len(m.reachable(held))
+            for f in held:
+                m.hold(f, -1)
+            assert m.live == 0
+
+    @pytest.mark.parametrize("d", [0, 2, -2])
+    def test_a_step_other_than_one_is_rejected(self, d):
+        m = Manager(2)
+        f = m.apply("and", [m.var(0), m.var(1)])
+        with pytest.raises(ValueError):
+            m.hold(f, d)
+        with pytest.raises(ValueError):
+            m.hold(f + 1, 1)
+        assert m.live == 0

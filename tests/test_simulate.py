@@ -1,5 +1,7 @@
 """Symbolic simulation: instrumentation, liveness, bound monitor, probe."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -263,6 +265,16 @@ class TestPolyBound:
                                   outputs={"o"})
         assert report.checked == 2      # plus the output
 
+    def test_an_output_that_is_an_input_or_a_constant_is_checked(self):
+        c = Circuit(("x1", "x2"), ("x1", "k", "y"),
+                    (Gate("and", "y", ("x1", "x2")),), (("k", 1),))
+        stats = simulate(c).stats
+        report = check_poly_bound(stats, PolyBoundConfig(0, 0.5, 2),
+                                  outputs=set(c.outputs))
+        assert report.checked == 3
+        assert [(v.signal, v.size) for v in report.violations] == [
+            ("x1", 1), ("y", 2)]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PolyBoundConfig(-1, 1, 1)
@@ -393,6 +405,14 @@ class TestExports:
         assert len(lines) == 1 + len(stats.rows)
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "x1" and first[2] == "input"
+
+    def test_csv_quotes_a_name_with_a_comma(self):
+        c = Circuit(("a", "b"), ('x,"y"',),
+                    (Gate("and", 'x,"y"', ("a", "b")),))
+        stats = simulate(c).stats
+        rows = list(csv.reader(io.StringIO(stats_to_csv(stats))))
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert rows[-1][1] == 'x,"y"'
 
     def test_json_mirrors_stats(self):
         stats = simulate(two_and_two_or()).stats
