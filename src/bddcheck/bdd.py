@@ -36,6 +36,21 @@ kept set, so it visits only the nodes the child does not reach.  With
 GC or reordering the kept set could name freed or rebuilt nodes; here
 it cannot.
 
+Every key of the unique table, ``(level, high, low)``, and of the
+computed table, ``(f, g, h)``, is one int made only with shifts and
+``|``.  When all three fields are below ``2 ** NARROW_BITS``, the key is
+``c << 2n | b << n | a`` with ``n = NARROW_BITS``: at most 60 bits, which
+CPython stores in two 30-bit digits, a 32-byte block where a key of
+three digits takes 48.  Otherwise it is the wide key
+``~(c << 2w | b << w | a)``, with ``w`` the bit length of the largest
+handle, ``node_limit + 1``.  A wide key is negative, so it never equals a
+narrow one, and a triple always gets the same key: entries made before
+the arena passes ``2 ** NARROW_BITS`` handles still hit after it, and
+nothing is rekeyed.  ``a`` and ``b`` are handles; ``c``, the top field,
+is the level in the unique table, which may exceed ``w`` bits.  An int
+hashes to itself, so the dict index is the key's low bits: the field
+with the most distinct values goes in ``a``.
+
 ``hold`` counts the internal nodes reachable from a set of root slots,
 a simulation's live count, by reference counts that free no node.
 """
@@ -52,6 +67,27 @@ ZERO = 0
 ONE = 1
 
 DEFAULT_NODE_LIMIT = 1 << 26
+
+# a table key whose fields are all below 2 ** NARROW_BITS fits in two
+# digits; see the module docstring
+NARROW_BITS = 20
+
+
+def _packer(narrow_bits: int, wide_bits: int):
+    """``key(a, b, c)``, the table key of a triple (module docstring).
+
+    ``a`` and ``b`` must be below ``2 ** wide_bits``; ``c`` may be any
+    size.
+    """
+    n, n2 = narrow_bits, 2 * narrow_bits
+    w, w2 = wide_bits, 2 * wide_bits
+
+    def key(a, b, c):
+        if (a | b | c) >> n:
+            return ~(c << w2 | b << w | a)
+        return c << n2 | b << n | a
+
+    return key
 
 
 class Manager:
@@ -90,7 +126,7 @@ class Manager:
         if sorted(order) != list(range(var_count)):
             raise ValueError(f"order is not a permutation of 0..{var_count - 1}")
         self.var_count = var_count
-        # an int: the table keys are packed with it (see _span below)
+        # an int: the table keys are packed with its bit length
         self.node_limit = operator.index(node_limit)
         if self.node_limit < 0:
             raise ValueError("node_limit must be non-negative")
@@ -103,12 +139,12 @@ class Manager:
         self._level = [t, t]
         self._high = [-1, -1]
         self._low = [-1, -1]
-        # handles stay below _span, so the table keys (level, high, low)
-        # and (f, g, h) pack into one int each, (a * span + b) * span + c:
+        # handles stay below node_limit + 2, so each table key is one int:
         # smaller than a tuple, and the cycle collector ignores it
-        self._span = self.node_limit + 2
-        self._unique = {}                            # packed (level, high, low) -> ref
-        self._cache = {}                             # packed (f, g, h) -> ref
+        self._narrow_bits = NARROW_BITS
+        self._key = _packer(NARROW_BITS, (self.node_limit + 1).bit_length())
+        self._unique = {}                            # key(high, low, level) -> ref
+        self._cache = {}                             # key(f, g, h) -> ref
         self._sizes = {}                             # ref -> size(ref)
         self._walked = ZERO                          # root of the last size walk
         self._reach = set()                          # its internal nodes
@@ -172,12 +208,11 @@ class Manager:
     def _make(self, level, high, low):
         if high == low:
             return high
-        span = self._span
-        key = (level * span + high) * span + low
+        key = self._key(high, low, level)
         r = self._unique.get(key)
         if r is None:
             r = len(self._level)
-            if r >= span:
+            if r >= self.node_limit + 2:
                 raise CapacityError(
                     f"node limit of {self.node_limit} reached", self.node_limit)
             self._level.append(level)
@@ -229,26 +264,26 @@ class Manager:
         if g == ONE and h == ZERO:
             return f
         cache = self._cache
-        sq = self._span * self._span             # x * sq + 1 packs (x, 0, 1)
+        key = self._key                          # entry key(x, 0, 1) holds ~x
         if g == ZERO:
             if h == ONE:
                 r = self._rec(f, ZERO, ONE)
-                cache[r * sq + ONE] = f          # the negation of r is f
+                cache[key(r, ZERO, ONE)] = f     # the negation of r is f
                 return r
-            nf = cache.get(f * sq + ONE)         # ite(f,0,h) = ite(~f,h,0)
+            nf = cache.get(key(f, ZERO, ONE))    # ite(f,0,h) = ite(~f,h,0)
             if nf is not None:
                 f, g, h = nf, h, ZERO
         elif h == ONE:
-            nf = cache.get(f * sq + ONE)         # ite(f,g,1) = ite(~f,1,g)
+            nf = cache.get(key(f, ZERO, ONE))    # ite(f,g,1) = ite(~f,1,g)
             if nf is not None:
                 f, g, h = nf, ONE, g
         if h == ZERO:                            # f AND g
-            if cache.get(f * sq + ONE) == g:
+            if cache.get(key(f, ZERO, ONE)) == g:
                 return ZERO
             if g < f:
                 f, g = g, f
         elif g == ONE:                           # f OR h
-            if cache.get(f * sq + ONE) == h:
+            if cache.get(key(f, ZERO, ONE)) == h:
                 return ONE
             if h < f:
                 f, h = h, f
@@ -265,6 +300,15 @@ class Manager:
         finished before the else branch, and a branch gets a frame only
         when it is neither terminal nor in the computed table, so handles
         and counters match.
+
+        Every computed-table triple of one call is made of nodes that
+        existed when the call began, and every level is below
+        ``var_count``.  So while the arena has at most ``2 ** n`` handles
+        (``n = NARROW_BITS``) and ``var_count`` is at most ``2 ** n``,
+        every key the call builds is narrow, and one flag, set at entry,
+        stands for the test of its fields.  Unique keys hold the nodes
+        the call makes, so the flag clears when a handle of ``2 ** n``
+        or more is made, and every key after it goes through ``pack``.
         """
         # the arena lists grow in place; binding them once is safe
         cache = self._cache
@@ -274,14 +318,22 @@ class Manager:
         low = self._low
         unique = self._unique
         unique_get = unique.get
-        span = self._span
+        pack = self._key
+        n = self._narrow_bits
+        n2 = 2 * n
+        edge = 1 << n
+        # rec's keys are all narrow while len(level) <= top
+        top = edge if self.var_count <= edge else -1
         limit = self.node_limit
+        end = limit + 2                              # handles stay below it
+        cap = min(end, edge)                         # first handle to check
         full_msg = f"node limit of {limit} reached"
         calls = 0
 
         def rec(f, g, h):
             nonlocal calls
-            key = (f * span + g) * span + h
+            narrow = len(level) <= top
+            key = h << n2 | g << n | f if narrow else pack(f, g, h)
             r = cache_get(key)
             if r is not None:
                 return r
@@ -315,7 +367,7 @@ class Manager:
                 elif g1 == 1 and h1 == 0:
                     t = f1
                 else:
-                    k = (f1 * span + g1) * span + h1
+                    k = h1 << n2 | g1 << n | f1 if narrow else pack(f1, g1, h1)
                     t = cache_get(k)
                     if t is None:
                         stack.append((key, lvl, -1, f0, g0, h0))
@@ -331,7 +383,8 @@ class Manager:
                     elif g0 == 1 and h0 == 0:
                         e = f0
                     else:
-                        k = (f0 * span + g0) * span + h0
+                        k = (h0 << n2 | g0 << n | f0 if narrow
+                             else pack(f0, g0, h0))
                         e = cache_get(k)
                         if e is None:
                             stack.append((key, lvl, t, f0, g0, h0))
@@ -344,12 +397,15 @@ class Manager:
                             r = t
                         else:
                             # _make inlined: the kernel makes most nodes
-                            ukey = (lvl * span + t) * span + e
+                            ukey = (lvl << n2 | e << n | t if narrow
+                                    else pack(t, e, lvl))
                             r = unique_get(ukey)
                             if r is None:
                                 r = len(level)
-                                if r >= span:
-                                    raise CapacityError(full_msg, limit)
+                                if r >= cap:
+                                    if r >= end:
+                                        raise CapacityError(full_msg, limit)
+                                    narrow = False   # later keys may hold r
                                 level.append(lvl)
                                 high.append(t)
                                 low.append(e)
@@ -529,7 +585,7 @@ class Manager:
         sizes = self._sizes
         n = sizes.get(f)
         if n is None:                            # size(~f) == size(f)
-            n = sizes.get(self._cache.get(f * self._span ** 2 + ONE))
+            n = sizes.get(self._cache.get(self._key(f, ZERO, ONE)))
         if n is None:
             high = self._high
             low = self._low
@@ -563,19 +619,29 @@ class Manager:
 
         ``_refs[v]``, which grows with the arena, counts the root slots
         on ``v`` plus its live parents.  The terminals start at 1, so
-        they are never counted or walked.  Only a node whose count
-        reaches 1 on an add or 0 on a remove changes state: it adds
-        ``d`` to ``live`` and passes the step on to its children.
+        they are never counted or walked, and a slot on a terminal is a
+        no-op.  Only a node whose count reaches 1 on an add or 0 on a
+        remove changes state: it adds ``d`` to ``live`` and passes the
+        step on to its children.
+
+        Removing a slot from a node whose count is 0 is a ``ValueError``,
+        raised before any count changes.  A removal from a node that
+        only live parents hold cannot be detected: the count does not
+        tell slots from parents.
         """
         self._check_ref(f)
         if d not in (1, -1):
             raise ValueError(f"d must be 1 or -1, not {d!r}")
+        if f <= 1:
+            return
         refs = self._refs
         high = self._high
         if len(refs) < len(high):
             refs.extend([0] * (len(high) - len(refs)))
         turn = 1 if d > 0 else 0
         c = refs[f] + d
+        if c < 0:
+            raise ValueError(f"no slot on node {f} to remove")
         refs[f] = c
         if c != turn:
             return

@@ -234,6 +234,9 @@ def _cmd_expand_bdd(args) -> int:
         return EXIT_CAPACITY
     doc = report.to_json()
     doc["provenance"] = _provenance(args)
+    # the round trip's rows are read only for created_total, which the
+    # report keeps; they are freed before serialize makes its text
+    report.stats = None
     _emit(serialize(report.circuit), args.out)
     # the report goes to stdout unless the netlist does
     _emit(_roundtrip_text(report) if args.format == "text" else doc, None,

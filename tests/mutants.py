@@ -69,11 +69,11 @@ MUTANTS = [
     Mutant("ite-f-g-1-negated-without-swap", BDD,
            "f, g, h = nf, ONE, g", "f, g, h = nf, g, ONE"),
     Mutant("ite-f-and-not-f-expanded", BDD,
-           "if cache.get(f * sq + ONE) == g:", "if False:"),
+           "if cache.get(key(f, ZERO, ONE)) == g:", "if False:"),
     Mutant("ite-f-or-not-f-expanded", BDD,
-           "if cache.get(f * sq + ONE) == h:", "if False:"),
+           "if cache.get(key(f, ZERO, ONE)) == h:", "if False:"),
     Mutant("ite-no-reverse-negation-entry", BDD,
-           "cache[r * sq + ONE] = f", "pass"),
+           "cache[key(r, ZERO, ONE)] = f", "pass"),
     # the kernel
     Mutant("kernel-then-f-1-0-expanded", BDD,
            "elif g1 == 1 and h1 == 0:", "elif False:"),
@@ -82,6 +82,13 @@ MUTANTS = [
     Mutant("kernel-children-swapped", BDD,
            "high.append(t)\n                                low.append(e)",
            "high.append(e)\n                                low.append(t)"),
+    # table keys
+    Mutant("kernel-narrow-test-dropped", BDD,
+           "narrow = len(level) <= top", "narrow = True"),
+    Mutant("kernel-narrow-flag-never-cleared", BDD,
+           "narrow = False   # later keys may hold r", "pass"),
+    Mutant("wide-keys-not-negated", BDD,
+           "return ~(c << w2 | b << w | a)", "return c << w2 | b << w | a"),
     # gate synthesis
     Mutant("apply-mux-branches-swapped", BDD,
            "return self._ite(s, t, e)", "return self._ite(s, e, t)"),
@@ -94,7 +101,7 @@ MUTANTS = [
            'FOLD_STEP = {"nand": "or", "nor": "or"}'),
     # the size memo and the kept node set
     Mutant("size-no-negation-reuse", BDD,
-           "n = sizes.get(self._cache.get(f * self._span ** 2 + ONE))",
+           "n = sizes.get(self._cache.get(self._key(f, ZERO, ONE)))",
            "pass"),
     Mutant("size-kept-set-never-reset", BDD,
            "if self._walked not in (hu, lu):\n"
@@ -124,6 +131,12 @@ MUTANTS = [
            'raise ValueError(f"d must be 1 or -1, not {d!r}")\n'
            "        if d < 0:\n"
            "            return"),
+    Mutant("hold-counts-terminal-slots", BDD,
+           "        if f <= 1:\n            return\n        refs = self._refs",
+           "        refs = self._refs"),
+    Mutant("hold-removes-a-slot-never-added", BDD,
+           'if c < 0:\n            raise ValueError(f"no slot on node {f} to remove")',
+           "if False:\n            pass"),
     Mutant("simulate-releases-the-inputs", SIM,
            "for s in circuit.inputs:\n            uses[s] += 1",
            "for s in ():\n            uses[s] += 1"),
@@ -162,6 +175,8 @@ MUTANTS = [
            "iso[u] = sim.make(var, iso[lo], iso[hi])"),
     Mutant("expand-keeps-the-source-alive", CLI,
            "    del res\n", ""),
+    Mutant("expand-keeps-the-round-trip-rows", CLI,
+           "    report.stats = None\n", ""),
 ]
 
 

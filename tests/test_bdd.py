@@ -9,8 +9,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bddcheck import CapacityError, Manager, ONE, ZERO
-from bddcheck.generators import random_bdd
+from bddcheck import CapacityError, Manager, ONE, ZERO, bdd, simulate
+from bddcheck.generators import (random_bdd, random_dag_circuit,
+                                 random_tree_circuit)
 from bddcheck.oracle import bdd_function_table
 
 
@@ -21,6 +22,15 @@ def brute_eval(mgr, f, assignment):
     i = mgr.var_index(f)
     child = mgr.high(f) if assignment[i] else mgr.low(f)
     return brute_eval(mgr, child, assignment)
+
+
+def unpack(mgr, key):
+    """``(a, b, c)`` of a narrow or a wide table key (see ``bdd``)."""
+    bits = mgr._narrow_bits
+    if key < 0:
+        key, bits = ~key, (mgr.node_limit + 1).bit_length()
+    mask = (1 << bits) - 1
+    return key & mask, key >> bits & mask, key >> 2 * bits
 
 
 def all_assignments(n):
@@ -167,8 +177,7 @@ class TestIteSemantics:
         entries = list(m._cache.items())
         rng.shuffle(entries)
         for key, r in entries[:200]:
-            fg, h = divmod(key, m._span)
-            f, g = divmod(fg, m._span)
+            f, g, h = unpack(m, key)
             tf = bdd_function_table(m, f)
             tg = bdd_function_table(m, g)
             th = bdd_function_table(m, h)
@@ -530,24 +539,26 @@ class TestDumpAndCapacity:
         with pytest.raises(CapacityError):
             m.var(0)
 
-    def test_packed_keys_stay_distinct_at_a_small_limit(self):
-        # the table keys pack handles in base node_limit + 2, so a small
-        # limit is where two triples would share a key if any could
-        m = Manager(6, node_limit=60)
-        rng = random.Random(3)
-        pool = [m.var(i) for i in range(6)]
-        with pytest.raises(CapacityError):
-            for _ in range(500):
-                random_node(m, rng, pool)
-        tables = [bdd_function_table(m, u) for u in range(2, m.created_count + 2)]
-        assert len(set(tables)) == len(tables)
-        full = (1 << (1 << 6)) - 1
-        span = m.node_limit + 2
-        for key, r in m._cache.items():
-            fg, h = divmod(key, span)
-            f, g = divmod(fg, span)
-            tf, tg, th = (bdd_function_table(m, x) for x in (f, g, h))
-            assert bdd_function_table(m, r) == (tf & tg) | ((tf ^ full) & th)
+    def test_packed_keys_stay_distinct_at_a_small_limit(self, monkeypatch):
+        # wide keys pack handles in the bit length of node_limit + 1, so a
+        # small limit is where two triples would share a key if any could;
+        # at 3 narrow bits, narrow and wide keys share the table
+        for bits in (bdd.NARROW_BITS, 3):
+            monkeypatch.setattr(bdd, "NARROW_BITS", bits)
+            m = Manager(6, node_limit=60)
+            rng = random.Random(3)
+            pool = [m.var(i) for i in range(6)]
+            with pytest.raises(CapacityError):
+                for _ in range(500):
+                    random_node(m, rng, pool)
+            tables = [bdd_function_table(m, u)
+                      for u in range(2, m.created_count + 2)]
+            assert len(set(tables)) == len(tables)
+            full = (1 << (1 << 6)) - 1
+            for key, r in m._cache.items():
+                tf, tg, th = (bdd_function_table(m, x)
+                              for x in unpack(m, key))
+                assert bdd_function_table(m, r) == (tf & tg) | ((tf ^ full) & th)
 
     def test_invalid_ref_rejected(self):
         m = Manager(2)
@@ -676,6 +687,33 @@ class TestEntryNormalisation:
             m.ite(*triple(a, b))             # ordered by handle at entry
             assert m.ite_calls == calls
 
+    def test_f_f_h_shares_the_entry_of_f_1_h(self):
+        # ite(f,f,h) = ite(f,1,h): the OR entry answers it
+        m, rng, pool = self._pool(8)
+        internal = sorted({u for u in pool if u > 1})
+        for _ in range(40):
+            f, h = rng.sample(internal, 2)
+            m.clear_computed_cache()
+            r = m.ite(f, ONE, h)
+            calls = m.ite_calls
+            assert m.ite(f, f, h) == r
+            assert m.ite_calls == calls
+
+    def test_f_g_1_shares_the_entry_of_not_f_1_g(self):
+        # with ~f known, ite(f,g,1) = ite(~f,1,g): the OR entry answers it
+        m, rng, pool = self._pool(9)
+        internal = sorted({u for u in pool if u > 1})
+        for _ in range(40):
+            f, g = rng.sample(internal, 2)
+            m.clear_computed_cache()
+            nf = m.inv(f)
+            if g == nf:
+                continue
+            r = m.ite(nf, ONE, g)
+            calls = m.ite_calls
+            assert m.ite(f, g, ONE) == r
+            assert m.ite_calls == calls
+
     def _last_node(self, seed):
         rng = random.Random(seed)
         m = Manager(self.N)
@@ -802,6 +840,32 @@ class TestHold:
                 m.hold(f, -1)
             assert m.live == 0
 
+    def test_a_slot_on_a_terminal_is_a_no_op(self):
+        m = Manager(2)
+        m.hold(ZERO, -1)
+        m.hold(ONE, 1)
+        m.hold(ONE, -1)
+        m.hold(ONE, -1)
+        assert (m.live, m._refs[:2]) == (0, [1, 1])
+        f = m.apply("and", [m.var(0), m.var(1)])
+        m.hold(f, 1)
+        assert m.live == 2
+        m.hold(f, -1)
+        assert m.live == 0
+
+    def test_removing_a_slot_never_added_is_rejected(self):
+        m = Manager(2)
+        x = m.var(0)
+        with pytest.raises(ValueError, match="no slot"):
+            m.hold(x, -1)
+        m.hold(x, 1)                         # the refused removal left no trace
+        assert m.live == 1
+        m.hold(x, -1)
+        assert m.live == 0
+        with pytest.raises(ValueError, match="no slot"):
+            m.hold(x, -1)
+        assert m.live == 0
+
     @pytest.mark.parametrize("d", [0, 2, -2])
     def test_a_step_other_than_one_is_rejected(self, d):
         m = Manager(2)
@@ -811,3 +875,65 @@ class TestHold:
         with pytest.raises(ValueError):
             m.hold(f + 1, 1)
         assert m.live == 0
+
+
+class TestTableKeys:
+    """Narrow and wide table keys (``bdd`` module docstring)."""
+
+    def test_every_key_wide_changes_no_handle_and_no_counter(self, monkeypatch):
+        # at 3 narrow bits, nearly every key is wide: the test_counters
+        # random DAG seeds and criterion 9's trees must not see it
+        circuits = [random_dag_circuit(10, 40, seed=s) for s in (18, 52, 150)]
+        circuits += [random_tree_circuit(n, seed=s)
+                     for n in (16, 64, 256) for s in range(25)]
+
+        def runs():
+            for c in circuits:
+                res = simulate(c)
+                m = res.manager
+                yield (m.nodes(range(2, m.created_count + 2)),
+                       res.signal_bdds, res.stats.rows, m.created_count,
+                       m.ite_calls, m.size_walked, m.unique_table_size(),
+                       min(m._unique) < 0)
+
+        default = list(runs())
+        assert not any(r[-1] for r in default)
+        monkeypatch.setattr(bdd, "NARROW_BITS", 3)
+        wide = list(runs())
+        assert all(r[-1] for r in wide)
+        assert [r[:-1] for r in wide] == [r[:-1] for r in default]
+
+    def test_entries_made_before_the_edge_still_hit(self, monkeypatch):
+        monkeypatch.setattr(bdd, "NARROW_BITS", 3)
+        m = Manager(6)
+        x = [m.var(i) for i in range(6)]     # handles 2..7: narrow keys
+        f = m.ite(x[3], x[4], x[5])          # handle 8, the first past 2**3
+        narrow = set(m._cache) | set(m._unique)
+        assert min(narrow) >= 0
+        rng = random.Random(6)
+        pool = list(x)
+        for _ in range(30):
+            random_node(m, rng, pool)
+        assert min(m._cache) < 0 and min(m._unique) < 0
+        assert narrow <= set(m._cache) | set(m._unique)   # nothing rekeyed
+        calls, created = m.ite_calls, m.created_count
+        assert m.ite(x[3], x[4], x[5]) == f
+        assert m.ite_calls == calls
+        assert m.make(3, x[4], x[5]) == f
+        assert m.created_count == created
+
+    def test_nodes_made_past_the_edge_within_one_call_are_found(self,
+                                                                monkeypatch):
+        # the inversion of a 6-node chain fills handles 8..13 in one
+        # kernel call: the keys of all but the first hold a handle >= 2**3
+        monkeypatch.setattr(bdd, "NARROW_BITS", 3)
+        m = Manager(6)
+        f = ONE
+        for i in reversed(range(6)):
+            f = m.make(i, f, ZERO)               # handles 2..7
+        nf = m.inv(f)
+        assert m.reachable(nf) == list(range(8, 14))
+        created = m.created_count
+        for u, i, hi, lo in m.nodes(nf):
+            assert m.make(i, hi, lo) == u
+        assert m.created_count == created

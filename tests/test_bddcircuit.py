@@ -310,3 +310,28 @@ class TestSourceBdds:
         assert main(["expand-bdd", str(net), "--mode", "gates",
                      "--out", str(tmp_path / "x.net")]) == 0
         assert checked == [True]
+
+    def test_expand_bdd_frees_the_round_trip_rows_before_serialize(
+            self, tmp_path, monkeypatch):
+        # serialize's text is expand-bdd's peak; the report keeps
+        # created_total, the one figure the CLI reads from the rows
+        net = tmp_path / "mult.net"
+        net.write_text(serialize(array_multiplier(4)))
+        rows, checked = [], []
+        verify, write = cli.roundtrip_verify, cli.serialize
+
+        def keep_a_weakref(*args, **kwargs):
+            report = verify(*args, **kwargs)
+            rows.append(weakref.ref(report.stats))
+            return report
+
+        def rows_are_gone(circuit):
+            assert [ref() for ref in rows] == [None]
+            checked.append(True)
+            return write(circuit)
+
+        monkeypatch.setattr(cli, "roundtrip_verify", keep_a_weakref)
+        monkeypatch.setattr(cli, "serialize", rows_are_gone)
+        assert main(["expand-bdd", str(net), "--mode", "gates",
+                     "--out", str(tmp_path / "x.net")]) == 0
+        assert checked == [True]
