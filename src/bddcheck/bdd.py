@@ -37,19 +37,15 @@ GC or reordering the kept set could name freed or rebuilt nodes; here
 it cannot.
 
 Every key of the unique table, ``(level, high, low)``, and of the
-computed table, ``(f, g, h)``, is one int made only with shifts and
-``|``.  When all three fields are below ``2 ** NARROW_BITS``, the key is
-``c << 2n | b << n | a`` with ``n = NARROW_BITS``: at most 60 bits, which
-CPython stores in two 30-bit digits, a 32-byte block where a key of
-three digits takes 48.  Otherwise it is the wide key
-``~(c << 2w | b << w | a)``, with ``w`` the bit length of the largest
-handle, ``node_limit + 1``.  A wide key is negative, so it never equals a
-narrow one, and a triple always gets the same key: entries made before
-the arena passes ``2 ** NARROW_BITS`` handles still hit after it, and
-nothing is rekeyed.  ``a`` and ``b`` are handles; ``c``, the top field,
-is the level in the unique table, which may exceed ``w`` bits.  An int
-hashes to itself, so the dict index is the key's low bits: the field
-with the most distinct values goes in ``a``.
+computed table, ``(f, g, h)``, is one int, ``c << 2w | b << w | a``,
+with ``w`` the bit length of the largest handle, ``node_limit + 1``.
+``a`` and ``b`` are handles; ``c``, the top field, is the level in the
+unique table, which may exceed ``w`` bits.  At the default limit
+``w = 20``, so every computed-table key, and every unique-table key
+whose level is below ``2 ** 20``, takes at most 60 bits, which CPython
+stores in two 30-bit digits, a 32-byte block where a key of three
+digits takes 48.  An int hashes to itself, so the dict index is the
+key's low bits: the field with the most distinct values goes in ``a``.
 
 ``hold`` counts the internal nodes reachable from a set of root slots,
 a simulation's live count, by reference counts that free no node.
@@ -66,28 +62,9 @@ from .errors import CapacityError
 ZERO = 0
 ONE = 1
 
-DEFAULT_NODE_LIMIT = 1 << 26
-
-# a table key whose fields are all below 2 ** NARROW_BITS fits in two
-# digits; see the module docstring
-NARROW_BITS = 20
-
-
-def _packer(narrow_bits: int, wide_bits: int):
-    """``key(a, b, c)``, the table key of a triple (module docstring).
-
-    ``a`` and ``b`` must be below ``2 ** wide_bits``; ``c`` may be any
-    size.
-    """
-    n, n2 = narrow_bits, 2 * narrow_bits
-    w, w2 = wide_bits, 2 * wide_bits
-
-    def key(a, b, c):
-        if (a | b | c) >> n:
-            return ~(c << w2 | b << w | a)
-        return c << n2 | b << n | a
-
-    return key
+# the largest limit whose handles, up to node_limit + 1, fit in 20 bits,
+# so that every table key takes two digits (module docstring)
+DEFAULT_NODE_LIMIT = (1 << 20) - 2
 
 
 class Manager:
@@ -141,10 +118,9 @@ class Manager:
         self._low = [-1, -1]
         # handles stay below node_limit + 2, so each table key is one int:
         # smaller than a tuple, and the cycle collector ignores it
-        self._narrow_bits = NARROW_BITS
-        self._key = _packer(NARROW_BITS, (self.node_limit + 1).bit_length())
-        self._unique = {}                            # key(high, low, level) -> ref
-        self._cache = {}                             # key(f, g, h) -> ref
+        self._w = (self.node_limit + 1).bit_length()
+        self._unique = {}                   # level << 2w | low << w | high -> ref
+        self._cache = {}                             # h << 2w | g << w | f -> ref
         self._sizes = {}                             # ref -> size(ref)
         self._walked = ZERO                          # root of the last size walk
         self._reach = set()                          # its internal nodes
@@ -208,7 +184,8 @@ class Manager:
     def _make(self, level, high, low):
         if high == low:
             return high
-        key = self._key(high, low, level)
+        w = self._w
+        key = level << 2 * w | low << w | high
         r = self._unique.get(key)
         if r is None:
             r = len(self._level)
@@ -264,26 +241,27 @@ class Manager:
         if g == ONE and h == ZERO:
             return f
         cache = self._cache
-        key = self._key                          # entry key(x, 0, 1) holds ~x
+        # the entry (x, 0, 1), whose key is neg | x, holds ~x
+        neg = ONE << 2 * self._w
         if g == ZERO:
             if h == ONE:
                 r = self._rec(f, ZERO, ONE)
-                cache[key(r, ZERO, ONE)] = f     # the negation of r is f
+                cache[neg | r] = f               # the negation of r is f
                 return r
-            nf = cache.get(key(f, ZERO, ONE))    # ite(f,0,h) = ite(~f,h,0)
+            nf = cache.get(neg | f)              # ite(f,0,h) = ite(~f,h,0)
             if nf is not None:
                 f, g, h = nf, h, ZERO
         elif h == ONE:
-            nf = cache.get(key(f, ZERO, ONE))    # ite(f,g,1) = ite(~f,1,g)
+            nf = cache.get(neg | f)              # ite(f,g,1) = ite(~f,1,g)
             if nf is not None:
                 f, g, h = nf, ONE, g
         if h == ZERO:                            # f AND g
-            if cache.get(key(f, ZERO, ONE)) == g:
+            if cache.get(neg | f) == g:
                 return ZERO
             if g < f:
                 f, g = g, f
         elif g == ONE:                           # f OR h
-            if cache.get(key(f, ZERO, ONE)) == h:
+            if cache.get(neg | f) == h:
                 return ONE
             if h < f:
                 f, h = h, f
@@ -299,16 +277,7 @@ class Manager:
         leaves none behind.  As in a recursion, the then branch is
         finished before the else branch, and a branch gets a frame only
         when it is neither terminal nor in the computed table, so handles
-        and counters match.
-
-        Every computed-table triple of one call is made of nodes that
-        existed when the call began, and every level is below
-        ``var_count``.  So while the arena has at most ``2 ** n`` handles
-        (``n = NARROW_BITS``) and ``var_count`` is at most ``2 ** n``,
-        every key the call builds is narrow, and one flag, set at entry,
-        stands for the test of its fields.  Unique keys hold the nodes
-        the call makes, so the flag clears when a handle of ``2 ** n``
-        or more is made, and every key after it goes through ``pack``.
+        and counters match.  Keys are built inline (module docstring).
         """
         # the arena lists grow in place; binding them once is safe
         cache = self._cache
@@ -318,22 +287,16 @@ class Manager:
         low = self._low
         unique = self._unique
         unique_get = unique.get
-        pack = self._key
-        n = self._narrow_bits
-        n2 = 2 * n
-        edge = 1 << n
-        # rec's keys are all narrow while len(level) <= top
-        top = edge if self.var_count <= edge else -1
+        w = self._w
+        w2 = 2 * w
         limit = self.node_limit
         end = limit + 2                              # handles stay below it
-        cap = min(end, edge)                         # first handle to check
         full_msg = f"node limit of {limit} reached"
         calls = 0
 
         def rec(f, g, h):
             nonlocal calls
-            narrow = len(level) <= top
-            key = h << n2 | g << n | f if narrow else pack(f, g, h)
+            key = h << w2 | g << w | f
             r = cache_get(key)
             if r is not None:
                 return r
@@ -367,7 +330,7 @@ class Manager:
                 elif g1 == 1 and h1 == 0:
                     t = f1
                 else:
-                    k = h1 << n2 | g1 << n | f1 if narrow else pack(f1, g1, h1)
+                    k = h1 << w2 | g1 << w | f1
                     t = cache_get(k)
                     if t is None:
                         stack.append((key, lvl, -1, f0, g0, h0))
@@ -383,8 +346,7 @@ class Manager:
                     elif g0 == 1 and h0 == 0:
                         e = f0
                     else:
-                        k = (h0 << n2 | g0 << n | f0 if narrow
-                             else pack(f0, g0, h0))
+                        k = h0 << w2 | g0 << w | f0
                         e = cache_get(k)
                         if e is None:
                             stack.append((key, lvl, t, f0, g0, h0))
@@ -397,15 +359,12 @@ class Manager:
                             r = t
                         else:
                             # _make inlined: the kernel makes most nodes
-                            ukey = (lvl << n2 | e << n | t if narrow
-                                    else pack(t, e, lvl))
+                            ukey = lvl << w2 | e << w | t
                             r = unique_get(ukey)
                             if r is None:
                                 r = len(level)
-                                if r >= cap:
-                                    if r >= end:
-                                        raise CapacityError(full_msg, limit)
-                                    narrow = False   # later keys may hold r
+                                if r >= end:
+                                    raise CapacityError(full_msg, limit)
                                 level.append(lvl)
                                 high.append(t)
                                 low.append(e)
@@ -585,7 +544,7 @@ class Manager:
         sizes = self._sizes
         n = sizes.get(f)
         if n is None:                            # size(~f) == size(f)
-            n = sizes.get(self._cache.get(self._key(f, ZERO, ONE)))
+            n = sizes.get(self._cache.get(ONE << 2 * self._w | f))
         if n is None:
             high = self._high
             low = self._low

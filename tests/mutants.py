@@ -69,11 +69,11 @@ MUTANTS = [
     Mutant("ite-f-g-1-negated-without-swap", BDD,
            "f, g, h = nf, ONE, g", "f, g, h = nf, g, ONE"),
     Mutant("ite-f-and-not-f-expanded", BDD,
-           "if cache.get(key(f, ZERO, ONE)) == g:", "if False:"),
+           "if cache.get(neg | f) == g:", "if False:"),
     Mutant("ite-f-or-not-f-expanded", BDD,
-           "if cache.get(key(f, ZERO, ONE)) == h:", "if False:"),
+           "if cache.get(neg | f) == h:", "if False:"),
     Mutant("ite-no-reverse-negation-entry", BDD,
-           "cache[key(r, ZERO, ONE)] = f", "pass"),
+           "cache[neg | r] = f", "pass"),
     # the kernel
     Mutant("kernel-then-f-1-0-expanded", BDD,
            "elif g1 == 1 and h1 == 0:", "elif False:"),
@@ -82,13 +82,14 @@ MUTANTS = [
     Mutant("kernel-children-swapped", BDD,
            "high.append(t)\n                                low.append(e)",
            "high.append(e)\n                                low.append(t)"),
-    # table keys
-    Mutant("kernel-narrow-test-dropped", BDD,
-           "narrow = len(level) <= top", "narrow = True"),
-    Mutant("kernel-narrow-flag-never-cleared", BDD,
-           "narrow = False   # later keys may hold r", "pass"),
-    Mutant("wide-keys-not-negated", BDD,
-           "return ~(c << w2 | b << w | a)", "return c << w2 | b << w | a"),
+    # table keys and the node limit
+    Mutant("key-width-off-by-one", BDD,
+           "(self.node_limit + 1).bit_length()",
+           "self.node_limit.bit_length()"),
+    Mutant("kernel-limit-off-by-one", BDD,
+           "if r >= end:", "if r > end:"),
+    Mutant("make-limit-off-by-one", BDD,
+           "if r >= self.node_limit + 2:", "if r > self.node_limit + 2:"),
     # gate synthesis
     Mutant("apply-mux-branches-swapped", BDD,
            "return self._ite(s, t, e)", "return self._ite(s, e, t)"),
@@ -101,7 +102,7 @@ MUTANTS = [
            'FOLD_STEP = {"nand": "or", "nor": "or"}'),
     # the size memo and the kept node set
     Mutant("size-no-negation-reuse", BDD,
-           "n = sizes.get(self._cache.get(self._key(f, ZERO, ONE)))",
+           "n = sizes.get(self._cache.get(ONE << 2 * self._w | f))",
            "pass"),
     Mutant("size-kept-set-never-reset", BDD,
            "if self._walked not in (hu, lu):\n"

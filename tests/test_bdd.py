@@ -25,12 +25,10 @@ def brute_eval(mgr, f, assignment):
 
 
 def unpack(mgr, key):
-    """``(a, b, c)`` of a narrow or a wide table key (see ``bdd``)."""
-    bits = mgr._narrow_bits
-    if key < 0:
-        key, bits = ~key, (mgr.node_limit + 1).bit_length()
-    mask = (1 << bits) - 1
-    return key & mask, key >> bits & mask, key >> 2 * bits
+    """``(a, b, c)`` of a table key ``c << 2w | b << w | a`` (see ``bdd``)."""
+    w = (mgr.node_limit + 1).bit_length()
+    mask = (1 << w) - 1
+    return key & mask, key >> w & mask, key >> 2 * w
 
 
 def all_assignments(n):
@@ -509,6 +507,7 @@ class TestDumpAndCapacity:
         assert m.size(earlier) == 5
         with pytest.raises(CapacityError):
             m.inv(chain[-1])                             # n - 5 levels to make
+        assert m.created_count == m.node_limit           # not one node more
         m.clear_computed_cache()
         created = m.created_count
         assert m.inv(sub) == earlier
@@ -539,13 +538,12 @@ class TestDumpAndCapacity:
         with pytest.raises(CapacityError):
             m.var(0)
 
-    def test_packed_keys_stay_distinct_at_a_small_limit(self, monkeypatch):
-        # wide keys pack handles in the bit length of node_limit + 1, so a
-        # small limit is where two triples would share a key if any could;
-        # at 3 narrow bits, narrow and wide keys share the table
-        for bits in (bdd.NARROW_BITS, 3):
-            monkeypatch.setattr(bdd, "NARROW_BITS", bits)
-            m = Manager(6, node_limit=60)
+    def test_packed_keys_stay_distinct_at_a_small_limit(self):
+        # keys pack handles in the bit length of node_limit + 1, so a small
+        # limit is where two triples would share a key if any could; at 63
+        # the last handle, 64, is the first to need a seventh bit
+        for limit in (60, 63):
+            m = Manager(6, node_limit=limit)
             rng = random.Random(3)
             pool = [m.var(i) for i in range(6)]
             with pytest.raises(CapacityError):
@@ -878,62 +876,28 @@ class TestHold:
 
 
 class TestTableKeys:
-    """Narrow and wide table keys (``bdd`` module docstring)."""
+    """One key formula at every limit (``bdd`` module docstring)."""
 
-    def test_every_key_wide_changes_no_handle_and_no_counter(self, monkeypatch):
-        # at 3 narrow bits, nearly every key is wide: the test_counters
-        # random DAG seeds and criterion 9's trees must not see it
+    def test_a_wider_key_changes_no_handle_and_no_counter(self):
+        # at 2**26 handles take 27-bit fields, so keys whose top field
+        # reaches 64 take three digits; the test_counters random DAG seeds
+        # and criterion 9's trees must not see it
+        assert (bdd.DEFAULT_NODE_LIMIT + 1).bit_length() == 20
         circuits = [random_dag_circuit(10, 40, seed=s) for s in (18, 52, 150)]
         circuits += [random_tree_circuit(n, seed=s)
                      for n in (16, 64, 256) for s in range(25)]
 
-        def runs():
+        def runs(node_limit):
             for c in circuits:
-                res = simulate(c)
+                res = simulate(c, node_limit=node_limit)
                 m = res.manager
                 yield (m.nodes(range(2, m.created_count + 2)),
                        res.signal_bdds, res.stats.rows, m.created_count,
                        m.ite_calls, m.size_walked, m.unique_table_size(),
-                       min(m._unique) < 0)
+                       max(max(m._cache), max(m._unique)))
 
-        default = list(runs())
-        assert not any(r[-1] for r in default)
-        monkeypatch.setattr(bdd, "NARROW_BITS", 3)
-        wide = list(runs())
-        assert all(r[-1] for r in wide)
+        default = list(runs(bdd.DEFAULT_NODE_LIMIT))
+        assert all(r[-1] < 1 << 60 for r in default)     # two digits
+        wide = list(runs(1 << 26))
+        assert any(r[-1] >= 1 << 60 for r in wide)       # three digits
         assert [r[:-1] for r in wide] == [r[:-1] for r in default]
-
-    def test_entries_made_before_the_edge_still_hit(self, monkeypatch):
-        monkeypatch.setattr(bdd, "NARROW_BITS", 3)
-        m = Manager(6)
-        x = [m.var(i) for i in range(6)]     # handles 2..7: narrow keys
-        f = m.ite(x[3], x[4], x[5])          # handle 8, the first past 2**3
-        narrow = set(m._cache) | set(m._unique)
-        assert min(narrow) >= 0
-        rng = random.Random(6)
-        pool = list(x)
-        for _ in range(30):
-            random_node(m, rng, pool)
-        assert min(m._cache) < 0 and min(m._unique) < 0
-        assert narrow <= set(m._cache) | set(m._unique)   # nothing rekeyed
-        calls, created = m.ite_calls, m.created_count
-        assert m.ite(x[3], x[4], x[5]) == f
-        assert m.ite_calls == calls
-        assert m.make(3, x[4], x[5]) == f
-        assert m.created_count == created
-
-    def test_nodes_made_past_the_edge_within_one_call_are_found(self,
-                                                                monkeypatch):
-        # the inversion of a 6-node chain fills handles 8..13 in one
-        # kernel call: the keys of all but the first hold a handle >= 2**3
-        monkeypatch.setattr(bdd, "NARROW_BITS", 3)
-        m = Manager(6)
-        f = ONE
-        for i in reversed(range(6)):
-            f = m.make(i, f, ZERO)               # handles 2..7
-        nf = m.inv(f)
-        assert m.reachable(nf) == list(range(8, 14))
-        created = m.created_count
-        for u, i, hi, lo in m.nodes(nf):
-            assert m.make(i, hi, lo) == u
-        assert m.created_count == created

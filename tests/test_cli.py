@@ -121,7 +121,7 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         prov = doc["provenance"]
         assert prov["tool"] == "bddcheck"
-        assert prov["config"]["capacity"] == 1 << 26
+        assert prov["config"]["capacity"] == 1048574
         assert prov["config"]["order"] == "dfs"
         assert len(prov["config_hash"]) == 12
 
@@ -373,7 +373,7 @@ class TestUsage:
 def _provenance(command, config_hash, mode=None):
     return {"tool": "bddcheck", "version": "0.1.0", "seed": None,
             "config": {"command": command, "order": "dfs",
-                       "capacity": 1 << 26, "seed": None,
+                       "capacity": 1048574, "seed": None,
                        "format": "json", "mode": mode},
             "config_hash": config_hash}
 
@@ -407,7 +407,7 @@ class TestReports:
             "stats": {"created_total": 5, "peak_live": 4,
                       "ite_entries_total": 5, "order_used": [0, 1],
                       "completed": True, "failing_signal": None},
-            "provenance": _provenance("verify", "ad7a29d5efeb"),
+            "provenance": _provenance("verify", "fa042a9bc2ce"),
         }
 
     def test_simulate_report_with_poly_bound(self, files, capsys):
@@ -430,7 +430,7 @@ class TestReports:
         assert doc == {
             "order_used": [0, 1, 2, 3],
             "input_count": 4,
-            "node_limit": 1 << 26,
+            "node_limit": 1048574,
             "peak_live": 7,
             "ite_entries_total": 4,
             "created_baseline": 4,
@@ -446,7 +446,7 @@ class TestReports:
                 _signal(5, "t2", "and", 2, 2, 6, 2),
                 _signal(6, "y", "or", 4, 4, 7, 4),
             ],
-            "provenance": _provenance("simulate", "214b0131b26d"),
+            "provenance": _provenance("simulate", "c1a6327b3213"),
             "poly_bound": {"passed": False, "bound": 2.0, "n": 4,
                            "checked": 3,
                            "violations": [{"signal": "y", "size": 4,
@@ -465,7 +465,7 @@ class TestReports:
         assert doc == {
             "ok": True, "mode": "gates", "original_size": 2,
             "max_internal_size": 2, "created_total": 4, "violations": [],
-            "provenance": _provenance("expand-bdd", "2ce0100c5a50", "gates"),
+            "provenance": _provenance("expand-bdd", "9aea3097eca3", "gates"),
         }
 
     def test_roundtrip_violation_keys(self):

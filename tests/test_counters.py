@@ -132,8 +132,8 @@ def test_mux_roundtrip_counters(tmp_path, capsys):
         "max_internal_size": 170,
         "netlist_sha256": "9712f0cdc2c5c23b8cd5bdc2ff8b2f5c"
                           "2787881ec7a82b93c2822ccc6c73458a",
-        "report_sha256": "99c73519a02351d9aa7ef8517712bdd1"
-                         "24c2ed15aa1901ca8ecc2a85e5547617"}
+        "report_sha256": "4bb7777436ab66ef61f5e0ce00df4c99"
+                         "b148ba9ee84ab9de053ff629dc70c44d"}
 
 
 # SHA-256 of the stdout of each CLI report, byte for byte, on small seeded
@@ -141,8 +141,8 @@ def test_mux_roundtrip_counters(tmp_path, capsys):
 REPORTS = {
     "simulate-json-poly": (
       ["simulate", "tree.net", "--poly-degree", "1"], 0,
-      "adac08a00e299df9f6478ecf0be473db"
-      "7bb8646d2a656a2abdc9bbde6e506be9"),
+      "957b19da4a1aca64987ffdad82a1c70e"
+      "406322ff8359607018e1ba3333a750d2"),
     "simulate-csv": (
       ["simulate", "tree.net", "--format", "csv"], 0,
       "d218dbb603d0399719cabbff19f378d0"
@@ -154,16 +154,16 @@ REPORTS = {
       "99a2120a2dbb67df4a4c1660ea167e76"),
     "verify-json-equivalent": (
       ["verify", "mult.net", "rewrite.net"], 0,
-      "41fb6d494dc546c50a6d978a389766d7"
-      "8d7a0833bbad9309d7dd385341dbae3a"),
+      "6cd2a34e02e9c831c66a6a25933f8bf2"
+      "9a0502a3f38a0be1b8f72c46c54d46ef"),
     "verify-text-equivalent": (
       ["verify", "mult.net", "rewrite.net", "--format", "text"], 0,
       "2611cbbe594a140eadf28659e420ff4b"
       "363238cde2f40d788c3ce1372df0acce"),
     "verify-json-not-equivalent": (
       ["verify", "mult.net", "mutant.net"], 1,
-      "a373011b48a9809450c08ab3e9de331d"
-      "4538998dadffcef835cecbc90e5c1450"),
+      "eb9dc2c73e02ef11013449ab8e50b663"
+      "5e6916550e65c0a7c44adc29f68db2b6"),
     "verify-text-not-equivalent": (
       ["verify", "mult.net", "mutant.net", "--format", "text"], 1,
       "1f4e741b255fd6dc3eb2d3079a098eb2"
