@@ -25,8 +25,9 @@ live in the computed table as its ``(f, 0, 1)`` entries; an inversion
 called from outside also stores the reverse pair, so
 ``clear_computed_cache`` forgets them with everything else.  The
 rewritten triple has the same canonical result, so normalisation
-changes neither handles nor ``created_count``; it only saves ``ite``
-entries.
+changes neither handles nor ``created_count``, only the triples the
+kernel expands: fewer on the whole, though a rewritten triple can miss
+table entries that the unrewritten one would have hit.
 
 Node sizes are memoised by handle, since a node never changes once
 made.  For the same reason the node set of one walk stays valid: the
@@ -274,10 +275,14 @@ class Manager:
         and a function that reads how many triples it expanded.  Frames
         are ``(key, lvl, t, f0, g0, h0)``, ``t`` -1 while the then branch
         is pending, on a stack that belongs to one call: an aborted call
-        leaves none behind.  As in a recursion, the then branch is
-        finished before the else branch, and a branch gets a frame only
-        when it is neither terminal nor in the computed table, so handles
-        and counters match.  Keys are built inline (module docstring).
+        leaves none behind.  One block resolves the pending branch of
+        the current frame, the then branch and after it the else branch
+        ``(f0, g0, h0)``: a terminal case or a table hit gives its result
+        at once, and any other branch is pushed and expanded.  A finished
+        else branch makes the frame's node, which goes to the frame below
+        as its then or else result.  As in a recursion, the then branch
+        is finished before the else branch, so handles and counters
+        match.  Keys are built inline (module docstring).
         """
         # the arena lists grow in place; binding them once is safe
         cache = self._cache
@@ -311,54 +316,42 @@ class Manager:
                     lvl = lg
                 if lh < lvl:
                     lvl = lh
+                # (f, g, h) becomes the then branch, (f0, g0, h0) the else
                 if lf == lvl:
-                    f1, f0 = high[f], low[f]
+                    f, f0 = high[f], low[f]
                 else:
-                    f1 = f0 = f
+                    f0 = f
                 if lg == lvl:
-                    g1, g0 = high[g], low[g]
+                    g, g0 = high[g], low[g]
                 else:
-                    g1 = g0 = g
+                    g0 = g
                 if lh == lvl:
-                    h1, h0 = high[h], low[h]
+                    h, h0 = high[h], low[h]
                 else:
-                    h1 = h0 = h
-                if f1 == 1 or g1 == h1:
-                    t = g1
-                elif f1 == 0:
-                    t = h1
-                elif g1 == 1 and h1 == 0:
-                    t = f1
-                else:
-                    k = h1 << w2 | g1 << w | f1
-                    t = cache_get(k)
-                    if t is None:
-                        stack.append((key, lvl, -1, f0, g0, h0))
-                        f, g, h = f1, g1, h1
-                        key = k  # four targets would build a tuple
-                        continue
+                    h0 = h
+                t = -1
                 while True:
-                    # the else branch of the frame in (key, lvl, t)
-                    if f0 == 1 or g0 == h0:
-                        e = g0
-                    elif f0 == 0:
-                        e = h0
-                    elif g0 == 1 and h0 == 0:
-                        e = f0
+                    # the pending branch (f, g, h) of the frame in
+                    # (key, lvl, t): the then branch while t is -1
+                    if f == 1 or g == h:
+                        r = g
+                    elif f == 0:
+                        r = h
+                    elif g == 1 and h == 0:
+                        r = f
                     else:
-                        k = h0 << w2 | g0 << w | f0
-                        e = cache_get(k)
-                        if e is None:
+                        k = h << w2 | g << w | f
+                        r = cache_get(k)
+                        if r is None:
                             stack.append((key, lvl, t, f0, g0, h0))
-                            f, g, h = f0, g0, h0
                             key = k
                             break
-                    while True:
-                        # the frame's node, handed to the frame below
-                        if t == e:
-                            r = t
-                        else:
+                    while t >= 0:
+                        # r is the else branch: the frame's node, handed
+                        # to the frame below
+                        if t != r:
                             # _make inlined: the kernel makes most nodes
+                            e = r
                             ukey = lvl << w2 | e << w | t
                             r = unique_get(ukey)
                             if r is None:
@@ -373,10 +366,8 @@ class Manager:
                         if not stack:
                             return r
                         key, lvl, t, f0, g0, h0 = stack.pop()
-                        if t < 0:
-                            t = r
-                            break
-                        e = r
+                    t = r
+                    f, g, h = f0, g0, h0
 
         def count():
             return calls

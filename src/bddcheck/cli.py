@@ -149,8 +149,7 @@ def _cmd_simulate(args) -> int:
     cfg = None
     if args.poly_degree is not None:
         try:
-            cfg = PolyBoundConfig(args.poly_degree, args.poly_coeff,
-                                  args.poly_gap)
+            cfg = PolyBoundConfig(args.poly_degree, args.poly_coeff)
             cfg.bound(len(circuit.inputs))
         except ValueError as exc:
             raise BddCheckError(f"poly bound: {exc}") from None
@@ -279,7 +278,6 @@ def _parser() -> argparse.ArgumentParser:
     common(sp, ("json", "csv", "text"))
     sp.add_argument("--poly-degree", type=int, default=None)
     sp.add_argument("--poly-coeff", type=float, default=1.0)
-    sp.add_argument("--poly-gap", type=int, default=1)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("gen-tree", help="emit a random fanout-free netlist")

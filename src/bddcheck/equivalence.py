@@ -57,8 +57,9 @@ def build_miter(c1: Circuit, c2: Circuit) -> Circuit:
     """Single-output circuit that is constant 0 iff ``c1`` equals ``c2``.
 
     Requires identical input name lists (order-sensitive) and equal
-    output counts.  Output pair ``j`` feeds an XOR; with several pairs
-    the XOR outputs are OR-folded left-associatively into ``out``.
+    output counts.  Output pair ``j`` feeds an XOR, and the XOR outputs
+    are OR-folded left-associatively; the last gate, the one XOR of a
+    single pair, drives ``out``.
     """
     if list(c1.inputs) != list(c2.inputs):
         if len(c1.inputs) != len(c2.inputs):
@@ -78,19 +79,17 @@ def build_miter(c1: Circuit, c2: Circuit) -> Circuit:
     gates2, consts2, pos2 = _rename_side(c2, "r__", taken)
     gates = gates1 + gates2
     out = fresh_name("out", taken)
-    if len(pos1) == 1:
-        gates.append(Gate("xor", out, (pos1[0], pos2[0])))
-    else:
-        xors = []
-        for j, (a, b) in enumerate(zip(pos1, pos2)):
-            x = fresh_name(f"miter__x{j}", taken)
-            gates.append(Gate("xor", x, (a, b)))
-            xors.append(x)
-        acc = xors[0]
-        for j, x in enumerate(xors[1:]):
-            nxt = out if j == len(xors) - 2 else fresh_name(f"miter__o{j}", taken)
-            gates.append(Gate("or", nxt, (acc, x)))
-            acc = nxt
+    last = len(pos1) - 1
+    xors = []
+    for j, pair in enumerate(zip(pos1, pos2)):
+        x = out if last == 0 else fresh_name(f"miter__x{j}", taken)
+        gates.append(Gate("xor", x, pair))
+        xors.append(x)
+    acc = xors[0]
+    for j, x in enumerate(xors[1:]):
+        nxt = out if j == last - 1 else fresh_name(f"miter__o{j}", taken)
+        gates.append(Gate("or", nxt, (acc, x)))
+        acc = nxt
     return Circuit(c1.inputs, (out,), gates, tuple(consts1 + consts2))
 
 

@@ -164,17 +164,14 @@ _LOG_MAX = math.log(sys.float_info.max) + 1
 
 @dataclass
 class PolyBoundConfig:
-    """Size bound ``coefficient * n**degree`` checked every ``gate_gap`` gates."""
+    """Size bound ``coefficient * n**degree`` on every gate and output."""
 
     degree: int
     coefficient: Real
-    gate_gap: int = 1
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.gate_gap < 1:
-            raise ValueError("gate_gap must be >= 1")
         c = self.coefficient
         # a NaN bound would pass every size; compared, not converted to
         # a float, so that an int past the floats is left to bound()
@@ -220,24 +217,21 @@ class PolyBoundReport:
 
 def check_poly_bound(stats: SimStats, cfg: PolyBoundConfig,
                      outputs: set[str] | None = None) -> PolyBoundReport:
-    """Check sampled signal sizes against ``coefficient * n**degree``.
+    """Check signal sizes against ``coefficient * n**degree``.
 
-    Samples every ``gate_gap``-th gate signal in topological order,
-    plus every signal named in ``outputs``, an input or a constant too,
-    with the run's input count as ``n``.  Purely a measurement of this
-    run; it proves nothing beyond it.
+    Checks every gate signal, in topological order, and every signal
+    named in ``outputs``, an input or a constant too, with the run's
+    input count as ``n``.  Purely a measurement of this run; it proves
+    nothing beyond it.
     """
     n = stats.input_count
     bound = cfg.bound(n)
-    gates = [r.topo_index for r in stats.rows
-             if r.kind not in ("input", "const")]
-    picked = set(gates[cfg.gate_gap - 1::cfg.gate_gap])
     outputs = outputs or set()
-    sampled = [row for row in stats.rows
-               if row.topo_index in picked or row.signal in outputs]
+    checked = [row for row in stats.rows
+               if row.kind not in ("input", "const") or row.signal in outputs]
     violations = [PolyBoundViolation(row.signal, row.size, row.size - bound)
-                  for row in sampled if row.size > bound]
-    return PolyBoundReport(not violations, bound, n, len(sampled), violations)
+                  for row in checked if row.size > bound]
+    return PolyBoundReport(not violations, bound, n, len(checked), violations)
 
 
 # -- single-gate probe ------------------------------------------------------

@@ -75,10 +75,10 @@ MUTANTS = [
     Mutant("ite-no-reverse-negation-entry", BDD,
            "cache[neg | r] = f", "pass"),
     # the kernel
-    Mutant("kernel-then-f-1-0-expanded", BDD,
-           "elif g1 == 1 and h1 == 0:", "elif False:"),
-    Mutant("kernel-else-f-1-0-expanded", BDD,
-           "elif g0 == 1 and h0 == 0:", "elif False:"),
+    Mutant("kernel-branch-f-1-0-expanded", BDD,
+           "elif g == 1 and h == 0:", "elif False:"),
+    Mutant("kernel-then-branch-taken-for-else", BDD,
+           "t = -1\n", "t = 0\n"),
     Mutant("kernel-children-swapped", BDD,
            "high.append(t)\n                                low.append(e)",
            "high.append(e)\n                                low.append(t)"),
@@ -148,8 +148,8 @@ MUTANTS = [
            "            result = mgr.apply("),
     # reports
     Mutant("poly-bound-skips-outputs", SIM,
-           "if row.topo_index in picked or row.signal in outputs]",
-           "if row.topo_index in picked]"),
+           'if row.kind not in ("input", "const") or row.signal in outputs]',
+           'if row.kind not in ("input", "const")]'),
     Mutant("csv-fields-joined-by-hand", SIM,
            'csv.writer(buf, lineterminator="\\n").writerows([SIGNAL_KEYS, *stats.rows])',
            "buf.writelines(','.join('' if v is None else str(v) for v in r)"

@@ -214,6 +214,13 @@ class TestApply:
             assert m.created_count == before_nodes, op
             assert m.ite_calls - before_calls <= 1, op
 
+    def test_xor_on_zero_is_the_other_operand_at_no_cost(self):
+        # xor(0, b) is b; the ite form ite(0, ~b, b) would first make ~b
+        m = Manager(2)
+        x = m.var(0)
+        assert m.apply("xor", [ZERO, x]) == x
+        assert (m.created_count, m.ite_calls) == (1, 0)
+
     def test_apply_semantics_pointwise(self):
         rng = random.Random(7)
         m = Manager(8)
@@ -768,6 +775,14 @@ class TestSizeMemo:
                 walked = m.size_walked
                 assert m.size(g) == len(m.reachable(g))
                 assert m.size_walked == walked
+
+    def test_inverted_xor_takes_the_size_of_the_xor(self):
+        # the xor's root has two internal children, so sizing it walks;
+        # its inversion's children are not that root, yet no walk runs
+        m = Manager(2)
+        f = m.apply("xor", [m.var(0), m.var(1)])
+        assert (m.size(f), m.size_walked) == (3, 3)
+        assert (m.size(m.inv(f)), m.size_walked) == (3, 3)
 
     def test_the_last_walked_root_itself_is_walked_from_nothing(self):
         # the kept set is reused only when the walked node is a child

@@ -245,6 +245,13 @@ class TestExpandMux:
         assert t.columns[0] == circuit_truth_table(
             Circuit(("x",), ("x",), ())).columns[0]
 
+    def test_gates_names_and_order(self):
+        c = Circuit(("s", "e", "t"), ("o",),
+                    (Gate("mux", "o", ("s", "e", "t")),))
+        assert list(expand_mux(c).gates) == [
+            Gate("inv", "o__ns", ("s",)), Gate("and", "o__a0", ("o__ns", "e")),
+            Gate("and", "o__a1", ("s", "t")), Gate("or", "o", ("o__a0", "o__a1"))]
+
     def test_mux_with_equal_data_is_that_data(self):
         c = Circuit(("x", "g"), ("o",), (Gate("mux", "o", ("x", "g", "g")),))
         e = expand_mux(c)

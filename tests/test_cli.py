@@ -340,7 +340,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["gen-tree", "1"],
         ["gen-tree", "6", "--depth", "-1"],
-        ["simulate", "{net}", "--poly-degree", "1", "--poly-gap", "0"],
+        ["simulate", "{net}", "--poly-degree", "1", "--poly-coeff", "inf"],
         ["simulate", "{net}", "--poly-degree", "-1"],
         ["simulate", "{net}", "--poly-degree", "1", "--poly-coeff", "nan"],
         ["simulate", "{net}", "--order", "bogus"],
