@@ -434,7 +434,9 @@ class Manager:
         level, high, low = self._level, self._high, self._low
         # a node below the variable's level (a terminal too) maps to itself
         r = {}
-        for u in sorted(self._above(f, target)):     # children first
+        for u in sorted(self._nodes((f,))):          # children first
+            if level[u] > target:
+                continue
             if level[u] == target:
                 r[u] = high[u] if value else low[u]
             else:
@@ -623,21 +625,7 @@ class Manager:
         level = self._level
         if level[f] > target:                    # all of f tests below it
             return False
-        return any(level[u] == target for u in self._above(f, target))
-
-    def _above(self, f, target):
-        """Nodes reachable from ``f`` at or above level ``target``."""
-        level, high, low = self._level, self._high, self._low
-        above = set()
-        stack = [f]
-        while stack:
-            u = stack.pop()
-            if level[u] <= target and u not in above:
-                above.add(u)
-                if level[u] < target:
-                    stack.append(high[u])
-                    stack.append(low[u])
-        return above
+        return any(level[u] == target for u in self._nodes((f,)))
 
     def support(self, f: int) -> set[int]:
         """Variable indices tested by nodes reachable from ``f``."""

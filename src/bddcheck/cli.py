@@ -59,36 +59,17 @@ def _provenance(args, **extra) -> dict:
 
 
 def _emit(report: str | dict, out_path: str | None, stream=None):
-    """Write a text report, or the JSON document ``json.dumps(report,
-    indent=2)`` and a newline, to the file ``out_path`` or else to
-    ``stream`` (stdout by default).
+    """Write a text report, or the JSON document ``json.dumps(report)``
+    and a newline, to the file ``out_path`` or else to ``stream``
+    (stdout by default).
 
-    A top-level ``signals`` list must hold only non-empty records of
-    scalars: the rows of :func:`stats_to_json`, one per signal and the only
-    list big enough for ``indent``'s pure-Python encoder to matter.  When
-    it is not empty, ``json.dumps`` gets the document with ``signals`` set
-    to ``None`` and the rows are encoded by one call of the C encoder.
-    Only a top-level key starts a line indented by exactly two spaces, and
-    an encoded string never holds a raw newline, so ``\\n  "signals": null``
-    occurs once in the text; the rows are written in its place."""
+    One ``json.dumps`` call with the default separators is served by the
+    C encoder, where a pretty-printed layout or ``json.dump`` would take
+    the pure-Python one.  ``python -m json.tool`` pretty-prints a report."""
     with (open(out_path, "w", encoding="utf-8") if out_path
           else contextlib.nullcontext(stream or sys.stdout)) as fh:
-        if isinstance(report, str):
-            fh.write(report)
-            return
-        rows = report.get("signals")
-        text = json.dumps({**report, "signals": None} if rows else report,
-                          indent=2)
-        if rows:
-            head, text = text.split('\n  "signals": null')
-            # "[{a,\n      b},\n      {c}]": only a record boundary matches,
-            # as no scalar ends in "}"
-            body = json.JSONEncoder(separators=(",\n      ", ": ")).encode(
-                rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-            fh.write(head + '\n  "signals": [\n    {\n      ')
-            fh.write(body)
-            text = "\n    }\n  ]" + text
-        fh.write(text + "\n")
+        fh.write(report if isinstance(report, str)
+                 else json.dumps(report) + "\n")
 
 
 def _resolve_order(source: str, circuit) -> list[int]:
@@ -139,6 +120,8 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     if outcome.verdict == NOT_EQUIVALENT:
         return EXIT_NOT_EQUIVALENT
+    sys.stderr.write(
+        f"capacity abort while simulating '{outcome.stats.failing_signal}'\n")
     return EXIT_CAPACITY
 
 
@@ -147,12 +130,17 @@ def _cmd_simulate(args) -> int:
     code = EXIT_OK
     order = _resolve_order(args.order, circuit)
     cfg = None
+    poly = {}                       # the bound's keys in the provenance
     if args.poly_degree is not None:
+        coeff = 1.0 if args.poly_coeff is None else args.poly_coeff
+        poly = {"poly_degree": args.poly_degree, "poly_coeff": coeff}
         try:
-            cfg = PolyBoundConfig(args.poly_degree, args.poly_coeff)
+            cfg = PolyBoundConfig(args.poly_degree, coeff)
             cfg.bound(len(circuit.inputs))
         except ValueError as exc:
             raise BddCheckError(f"poly bound: {exc}") from None
+    elif args.poly_coeff is not None:
+        raise BddCheckError("--poly-coeff needs --poly-degree")
     try:
         stats = simulate(circuit, order, node_limit=args.capacity).stats
     except SimulationCapacityError as exc:
@@ -178,7 +166,7 @@ def _cmd_simulate(args) -> int:
         _emit(text, args.out)
     else:
         doc = stats_to_json(stats)
-        doc["provenance"] = _provenance(args)
+        doc["provenance"] = _provenance(args, **poly)
         if poly_report is not None:
             doc["poly_bound"] = dataclasses.asdict(poly_report)
         _emit(doc, args.out)
@@ -277,7 +265,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("circuit")
     common(sp, ("json", "csv", "text"))
     sp.add_argument("--poly-degree", type=int, default=None)
-    sp.add_argument("--poly-coeff", type=float, default=1.0)
+    sp.add_argument("--poly-coeff", type=float, default=None)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("gen-tree", help="emit a random fanout-free netlist")

@@ -123,6 +123,8 @@ MUTANTS = [
     # other walks
     Mutant("depends-on-off-by-one", BDD,
            "if level[f] > target:", "if level[f] >= target:"),
+    Mutant("cofactor-level-filter-off-by-one", BDD,
+           "if level[u] > target:", "if level[u] >= target:"),
     Mutant("nodes-children-swapped", BDD,
            "return [(u, var_at[level[u]], high[u], low[u])",
            "return [(u, var_at[level[u]], low[u], high[u])"),
@@ -154,17 +156,15 @@ MUTANTS = [
            'csv.writer(buf, lineterminator="\\n").writerows([SIGNAL_KEYS, *stats.rows])',
            "buf.writelines(','.join('' if v is None else str(v) for v in r)"
            " + '\\n' for r in [SIGNAL_KEYS, *stats.rows])"),
-    Mutant("json-rows-boundary-pad", CLI,
-           '.replace("},\\n      {", "\\n    },\\n    {\\n      ")',
-           '.replace("},\\n      {", "\\n  },\\n    {\\n      ")'),
-    Mutant("json-rows-head-pad", CLI,
-           """'\\n  "signals": [\\n    {\\n      '""",
-           """'\\n  "signals": [\\n  {\\n      '"""),
-    Mutant("json-rows-closing-pad", CLI,
-           '"\\n    }\\n  ]"', '"\\n  }\\n  ]"'),
-    Mutant("json-rows-given-to-dumps", CLI,
-           'json.dumps({**report, "signals": None} if rows else report,',
-           "json.dumps(report,"),
+    Mutant("emit-indented", CLI,
+           'json.dumps(report) + "\\n"',
+           'json.dumps(report, indent=2) + "\\n"'),
+    Mutant("provenance-drops-poly-keys", CLI,
+           "_provenance(args, **poly)", "_provenance(args)"),
+    Mutant("verify-abort-line-dropped", CLI,
+           "    sys.stderr.write(\n"
+           "        f\"capacity abort while simulating "
+           "'{outcome.stats.failing_signal}'\\n\")\n", ""),
     # the MUX round trip
     Mutant("mux-gates-and-names-swapped", CIRCUIT,
            'a0 = fresh_name(f"{out}__a0", taken)\n'

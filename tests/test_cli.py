@@ -115,6 +115,14 @@ class TestVerify:
         assert out.startswith("verdict: not_equivalent")
         assert "counterexample:" in out
 
+    def test_capacity_abort_names_the_signal(self, files, capsys):
+        net = files("t.net", TREE_NET)
+        assert main(["verify", net, net, "--capacity", "1",
+                     "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "verdict: aborted\n"
+        assert captured.err == "capacity abort while simulating 'b'\n"
+
     def test_provenance_echoed(self, files, capsys):
         left = files("l.net", AND_NET)
         main(["verify", left, left])
@@ -154,6 +162,18 @@ class TestSimulate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["poly_bound"]["passed"] is True
         assert doc["poly_bound"]["bound"] == 4.0
+
+    def test_poly_bound_is_in_the_config_hash(self, files, capsys):
+        net = files("t.net", TREE_NET)
+        hashes = []
+        for poly in ([], ["--poly-degree", "1"], ["--poly-degree", "2"],
+                     ["--poly-degree", "1", "--poly-coeff", "0.5"]):
+            assert main(["simulate", net, *poly]) == 0
+            prov = json.loads(capsys.readouterr().out)["provenance"]
+            hashes.append(prov["config_hash"])
+        # without the bound, the config holds no poly keys
+        assert hashes[0] == "c1a6327b3213"
+        assert len(set(hashes)) == 4
 
     def test_bound_just_inside_the_floats_passes(self, files, capsys):
         # 0.5 * 2**1024, though 2**1024 is no float
@@ -343,6 +363,7 @@ class TestUsage:
         ["simulate", "{net}", "--poly-degree", "1", "--poly-coeff", "inf"],
         ["simulate", "{net}", "--poly-degree", "-1"],
         ["simulate", "{net}", "--poly-degree", "1", "--poly-coeff", "nan"],
+        ["simulate", "{net}", "--poly-coeff", "0.5"],
         ["simulate", "{net}", "--order", "bogus"],
     ])
     def test_invalid_option_value_is_a_usage_error(self, argv, files, capsys):
@@ -370,11 +391,11 @@ class TestUsage:
         assert main(argv + ["--capacity", "0"]) == 2
 
 
-def _provenance(command, config_hash, mode=None):
+def _provenance(command, config_hash, mode=None, **extra):
     return {"tool": "bddcheck", "version": "0.1.0", "seed": None,
             "config": {"command": command, "order": "dfs",
                        "capacity": 1048574, "seed": None,
-                       "format": "json", "mode": mode},
+                       "format": "json", "mode": mode, **extra},
             "config_hash": config_hash}
 
 
@@ -446,7 +467,8 @@ class TestReports:
                 _signal(5, "t2", "and", 2, 2, 6, 2),
                 _signal(6, "y", "or", 4, 4, 7, 4),
             ],
-            "provenance": _provenance("simulate", "c1a6327b3213"),
+            "provenance": _provenance("simulate", "2ecc2cc839d8",
+                                      poly_degree=1, poly_coeff=0.5),
             "poly_bound": {"passed": False, "bound": 2.0, "n": 4,
                            "checked": 3,
                            "violations": [{"signal": "y", "size": 4,
@@ -481,70 +503,62 @@ class TestReports:
                                       "detail": "d"}]
 
 
-# the last two are the line that the rows replace and the boundary
-# between two of them
 text = st.one_of(st.text(max_size=6),
-                 st.sampled_from(["a\nb", '"\\', "\u00e9\u2028",
-                                  '\n  "signals": null', '},\n      {"']))
+                 st.sampled_from(["a\nb", '"\\', "\u00e9\u2028"]))
 scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                    st.sampled_from([1e300, -1e300, -2.5, -0.0]), text)
-values = st.recursive(
-    scalar,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(text | st.just("signals"), inner,
-                                     max_size=4)),
-    max_leaves=30)
-# the rows of a simulate report: non-empty records of scalars
-rows = st.lists(st.dictionaries(text, scalar, min_size=1, max_size=4),
-                max_size=8)
-
-
-@st.composite
-def documents(draw):
-    items = list(draw(st.dictionaries(text, values, max_size=4)).items())
-    if draw(st.booleans()):
-        items.insert(draw(st.integers(0, len(items))),
-                     ("signals", draw(rows)))
-    return dict(items)
+documents = st.dictionaries(
+    text | st.just("signals"),
+    st.recursive(scalar,
+                 lambda inner: (st.lists(inner, max_size=4)
+                                | st.dictionaries(text, inner, max_size=4)),
+                 max_leaves=30),
+    max_size=4)
 
 
 class TestJsonWriter:
-    """JSON reports have the bytes of ``json.dumps(doc, indent=2)``."""
+    """A JSON report is ``json.dumps(doc)`` and a newline, in one write."""
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
-    @given(documents())
+    @given(documents)
     def test_same_text_as_json_dumps(self, doc):
         out = io.StringIO()
         cli._emit(doc, None, out)
-        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+        assert out.getvalue() == json.dumps(doc) + "\n"
+
+    def test_rows_skip_json_dumps_and_arrive_in_one_write(self, monkeypatch):
+        # the rows skip the pure-Python encoder: one json.dumps call, with
+        # no keyword that would leave the C encoder, sees the whole document
+        doc = cli.stats_to_json(simulate(random_tree_circuit(1500,
+                                                             seed=4)).stats)
+        calls = []
+
+        def dumps(obj, **kwargs):
+            calls.append((obj, kwargs))
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=dumps))
+        writes = []
+        cli._emit(doc, None, types.SimpleNamespace(write=writes.append))
+        assert calls == [(doc, {})]
+        assert calls[0][0] is doc
+        assert writes == [json.dumps(doc) + "\n"]
 
     def test_simulate_report_of_a_large_tree(self, tmp_path):
+        tree = random_tree_circuit(1500, seed=4)
+        doc = cli.stats_to_json(simulate(tree).stats)
+        writes = []
+        cli._emit(doc, None, types.SimpleNamespace(write=writes.append))
+        assert writes == [json.dumps(doc) + "\n"]
         net = tmp_path / "tree.net"
-        net.write_text(serialize(random_tree_circuit(1500, seed=4)))
+        net.write_text(serialize(tree))
         out = tmp_path / "report.json"
         assert main(["simulate", str(net), "--format", "json",
                      "--out", str(out)]) == 0
-        text = out.read_text()
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
-
-    def test_rows_skip_json_dumps_and_arrive_in_one_write(self, monkeypatch):
-        stats = simulate(random_tree_circuit(1500, seed=4)).stats
-        doc = cli.stats_to_json(stats)
-        given_signals = []
-
-        def dumps(obj, **kwargs):
-            given_signals.append(obj["signals"])
-            return json.dumps(obj, **kwargs)
-
-        monkeypatch.setattr(cli, "json", types.SimpleNamespace(
-            dumps=dumps, JSONEncoder=json.JSONEncoder))
-        writes = []
-        cli._emit(doc, None, types.SimpleNamespace(write=writes.append))
-        assert given_signals == [None]
-        assert "".join(writes) == json.dumps(doc, indent=2) + "\n"
-        assert max(w.count('"topo_index"') for w in writes) \
-            == len(doc["signals"])
+        report = json.loads(out.read_text())
+        del report["provenance"]
+        assert report == doc
 
 
 class TestSingleExpansion:

@@ -132,8 +132,8 @@ def test_mux_roundtrip_counters(tmp_path, capsys):
         "max_internal_size": 170,
         "netlist_sha256": "9712f0cdc2c5c23b8cd5bdc2ff8b2f5c"
                           "2787881ec7a82b93c2822ccc6c73458a",
-        "report_sha256": "4bb7777436ab66ef61f5e0ce00df4c99"
-                         "b148ba9ee84ab9de053ff629dc70c44d"}
+        "report_sha256": "7e0770b8ca012d6c694c51914f974340"
+                         "f6abf51d95eccaf8fc3676ddfb7006dc"}
 
 
 # SHA-256 of the stdout of each CLI report, byte for byte, on small seeded
@@ -141,8 +141,8 @@ def test_mux_roundtrip_counters(tmp_path, capsys):
 REPORTS = {
     "simulate-json-poly": (
       ["simulate", "tree.net", "--poly-degree", "1"], 0,
-      "957b19da4a1aca64987ffdad82a1c70e"
-      "406322ff8359607018e1ba3333a750d2"),
+      "60e21eef146486c0b0b4b7bfe37e74d9"
+      "c5b5ca6d948274ba7f916f55bfd5e8a9"),
     "simulate-csv": (
       ["simulate", "tree.net", "--format", "csv"], 0,
       "d218dbb603d0399719cabbff19f378d0"
@@ -154,16 +154,16 @@ REPORTS = {
       "99a2120a2dbb67df4a4c1660ea167e76"),
     "verify-json-equivalent": (
       ["verify", "mult.net", "rewrite.net"], 0,
-      "6cd2a34e02e9c831c66a6a25933f8bf2"
-      "9a0502a3f38a0be1b8f72c46c54d46ef"),
+      "305347353f4e551a68f72bd711dc9101"
+      "d8b193deb6383ee5593f3c310c5cf58b"),
     "verify-text-equivalent": (
       ["verify", "mult.net", "rewrite.net", "--format", "text"], 0,
       "2611cbbe594a140eadf28659e420ff4b"
       "363238cde2f40d788c3ce1372df0acce"),
     "verify-json-not-equivalent": (
       ["verify", "mult.net", "mutant.net"], 1,
-      "eb9dc2c73e02ef11013449ab8e50b663"
-      "5e6916550e65c0a7c44adc29f68db2b6"),
+      "33c51b34583b12b19c91fee3049af33f"
+      "7f26d6ff2b29b7022d689646b2093f4d"),
     "verify-text-not-equivalent": (
       ["verify", "mult.net", "mutant.net", "--format", "text"], 1,
       "1f4e741b255fd6dc3eb2d3079a098eb2"
